@@ -64,6 +64,7 @@ from .bell import (
     quantum_target,
     scalar_correlation,
     scalarizer_audit,
+    scalarizer_maxima,
 )
 from .audit import (
     AuditConfig,

@@ -38,7 +38,7 @@ from .bell import (
     default_scalarizers,
     lhv_bruteforce_bound,
     quantum_target,
-    scalarizer_audit,
+    scalarizer_maxima,
 )
 
 TOOL_NAME = "g3bell"
@@ -415,10 +415,11 @@ def _functional_range_section(pairs, sweeps) -> dict:
 
 def _chsh_section(config: AuditConfig) -> dict:
     scenario = ChshScenario.from_angles(config.angles_deg)
-    maxima = {
-        s.name: scalarizer_audit(s, trials=config.trials, seed=config.seed)
-        for s in default_scalarizers()
-    }
+    scalarizers = default_scalarizers()
+    maxima = dict(zip(
+        (s.name for s in scalarizers),
+        scalarizer_maxima(scalarizers, trials=config.trials, seed=config.seed),
+    ))
     s_value = chsh(quantum_target, scenario)
     return {
         "angles_deg": list(config.angles_deg),
@@ -605,7 +606,7 @@ def emit(report: AuditReport, output_format: str | None = None) -> str:
     """Render the report as a text or json document (no trailing I/O)."""
     fmt = output_format or report.config.output_format
     if fmt == "json":
-        return json.dumps(_round_tree(report.to_dict()), indent=2) + "\n"
+        return json.dumps(_round_tree(report.to_dict()), indent=2, allow_nan=False) + "\n"
     if fmt == "text":
         return _render_text(report)
     raise ValueError(f"unknown output format {fmt!r}")

@@ -31,7 +31,7 @@ def _parse_vector(text: str) -> Vector3:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad vector component in {text!r}: {exc}") from exc
     n = v.norm()
-    if abs(n - 1.0) > PAIR_NORM_SLACK:
+    if not (abs(n - 1.0) <= PAIR_NORM_SLACK):
         raise argparse.ArgumentTypeError(
             f"vector {text!r} has norm {n!r}; settings must be unit within {PAIR_NORM_SLACK:g}"
         )

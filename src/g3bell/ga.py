@@ -250,7 +250,11 @@ def grade_audit(x: Multivector, tol: float = DEFAULT_TOLERANCE) -> GradeSupport:
 
 
 def ensure_unit(v: Vector3, tol: float = UNIT_TOLERANCE) -> Vector3:
-    """Validate that v is a unit vector within tol; returns v unchanged."""
-    if abs(v.norm() - 1.0) > tol:
-        raise NonUnitVectorError(f"expected a unit vector, got norm {v.norm()!r}")
+    """Validate that v is a unit vector within tol; returns v unchanged.
+
+    Written so that a NaN norm fails the check instead of slipping past it.
+    """
+    n = v.norm()
+    if not (abs(n - 1.0) <= tol):
+        raise NonUnitVectorError(f"expected a unit vector, got norm {n!r}")
     return v

@@ -72,9 +72,20 @@ ISOTROPIC = OrientationDistribution(0.5)
 
 
 def observable(a: Vector3, hv: HiddenVariable) -> Multivector:
-    """Spin observable for setting a: the bivector mu*a."""
+    """Spin observable for setting a: the bivector mu*a.
+
+    Written out from I*e1 = e23, I*e2 = -e13, I*e3 = e12; each slot adds to
+    +0.0 as ``gp`` does, so the coefficients match ``gp(hv.mu, a)`` bitwise.
+    """
     ensure_unit(a)
-    return gp(hv.mu, a.as_multivector())
+    lam = float(hv.orientation)
+    return Multivector((
+        0.0, 0.0, 0.0, 0.0,
+        0.0 + lam * a.z,
+        0.0 + (-lam) * a.y,
+        0.0 + lam * a.x,
+        0.0,
+    ))
 
 
 def product_identity(a: Vector3, b: Vector3, hv: HiddenVariable) -> Multivector:

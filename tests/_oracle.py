@@ -2,12 +2,23 @@
 
 Basis-blade products are derived here from first principles: concatenate the
 index lists, bubble-sort to canonical order counting a sign flip per swap,
-and contract equal adjacent indices with the Euclidean metric (+1).  Nothing
-in this module imports the package under test, so comparisons against it are
+and contract equal adjacent indices with the Euclidean metric (+1).  That
+part uses nothing from the package under test, so comparisons against it are
 a genuine dual route.
+
+The CHSH Monte Carlo reference at the end is the straightforward loop that
+``scalarizer_maxima`` streamlines: a fresh generator per scalarizer and the
+definitional ``chsh`` over ``scalar_correlation``.  It is built on those
+package definitions and serves as a bitwise oracle for the fast path.
 """
 
 from __future__ import annotations
+
+import random
+
+from g3bell.bell import ChshScenario, chsh, scalar_correlation
+from g3bell.ga import Vector3
+from g3bell.model import OrientationDistribution
 
 ORACLE_BLADES = [(), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]
 
@@ -62,3 +73,34 @@ def oracle_gp(x: tuple[float, ...], y: tuple[float, ...]) -> tuple[float, ...]:
             sign, slot = _TABLE[i][j]
             out[slot] += sign * xi * yj
     return tuple(out)
+
+
+def reference_unit_vector(rng: random.Random):
+    """Normalized Gaussian triple, normalizing through ``Vector3.normalized``
+    (which takes the norm a second time)."""
+    while True:
+        v = Vector3(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
+        if v.norm() > 1e-6:
+            return v.normalized()
+
+
+def reference_scalarizer_maxima(scalarizers, trials: int, seed: int) -> tuple[float, ...]:
+    """Max |S| per scalarizer, re-seeding and redrawing every scenario for
+    each scalarizer and evaluating S through ``chsh``."""
+    maxima = []
+    for s in scalarizers:
+        rng = random.Random(seed)
+        worst = 0.0
+        for _ in range(trials):
+            scenario = ChshScenario(
+                reference_unit_vector(rng),
+                reference_unit_vector(rng),
+                reference_unit_vector(rng),
+                reference_unit_vector(rng),
+            )
+            dist = OrientationDistribution(rng.random())
+            value = abs(chsh(lambda a, b: scalar_correlation(s, a, b, dist), scenario))
+            if value > worst:
+                worst = value
+        maxima.append(worst)
+    return tuple(maxima)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -237,6 +238,21 @@ def test_cli_bad_pair_flag_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--pair", "2,0,0:0,1,0"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("pair", ["nan,0,0:0,1,0", "1,0,0:0,nan,1", "inf,0,0:0,1,0"])
+def test_cli_non_finite_pair_exits_two(pair, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--pair", pair, "--format", "json"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_json_emit_refuses_nan(default_report):
+    bad = dataclasses.replace(default_report, chsh={**default_report.chsh,
+                                                    "quantum_target_s": float("nan")})
+    with pytest.raises(ValueError):
+        emit(bad, "json")
 
 
 def test_angles_argument_accepts_comma_and_slash():

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, assume
@@ -16,9 +17,13 @@ from g3bell.bell import (
     lhv_bruteforce_bound,
     make_scalarizer,
     quantum_target,
+    random_unit_vector,
     scalar_correlation,
     scalarizer_audit,
+    scalarizer_maxima,
 )
+
+from _oracle import reference_scalarizer_maxima, reference_unit_vector
 
 TOL = 1e-12
 
@@ -195,3 +200,47 @@ def test_scalarizer_audit_deterministic_per_seed():
 def test_scalarizer_audit_rejects_bad_trials():
     with pytest.raises(ValueError):
         scalarizer_audit(ORIENT_SIGN, trials=0, seed=1)
+
+
+# --- streamed Monte Carlo against the per-scalarizer reference loop ----------------------------
+
+# Continuous scalarizers whose maxima are not round numbers, so a change in
+# the association order of the CHSH sum would show in the last bits.
+CONTINUOUS = (
+    make_scalarizer("orientation_times_z", lambda a, hv: hv.orientation * a.z),
+    make_scalarizer("tilted", lambda a, hv: 0.5 * (a.x + hv.orientation * a.y)),
+)
+
+
+@pytest.mark.parametrize("seed", [1, 42, 2024])
+def test_scalarizer_maxima_bitwise_equal_to_reference_loop(seed):
+    scalarizers = default_scalarizers() + CONTINUOUS
+    fast = scalarizer_maxima(scalarizers, trials=300, seed=seed)
+    assert fast == reference_scalarizer_maxima(scalarizers, trials=300, seed=seed)
+    for value in fast[3:]:
+        assert value not in (0.0, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 123])
+def test_sampler_matches_reference_vectors_and_rng_state(seed):
+    fast_rng, ref_rng = random.Random(seed), random.Random(seed)
+    for _ in range(500):
+        assert random_unit_vector(fast_rng) == reference_unit_vector(ref_rng)
+    assert fast_rng.getstate() == ref_rng.getstate()
+
+
+class _ScriptedGauss:
+    """Stands in for random.Random, replaying fixed gauss draws."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def gauss(self, mu, sigma):
+        return self.values.pop(0)
+
+
+def test_sampler_rejects_tiny_triples_like_reference():
+    draws = [1e-7, 0.0, 0.0, 0.0, -0.0, 0.0, 3.0, -4.0, 12.0, 9.0]
+    fast, ref = _ScriptedGauss(draws), _ScriptedGauss(draws)
+    assert random_unit_vector(fast) == reference_unit_vector(ref) == Vector3(3 / 13, -4 / 13, 12 / 13)
+    assert fast.values == ref.values == [9.0]

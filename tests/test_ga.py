@@ -223,6 +223,16 @@ def test_ensure_unit_rejects_non_unit():
         ensure_unit(Vector3(0.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("bad", [
+    Vector3(float("nan"), 0.0, 0.0),
+    Vector3(0.0, float("nan"), 1.0),
+    Vector3(float("inf"), 0.0, 0.0),
+])
+def test_ensure_unit_rejects_non_finite(bad):
+    with pytest.raises(NonUnitVectorError):
+        ensure_unit(bad)
+
+
 def test_normalized_zero_vector_raises():
     with pytest.raises(ValueError):
         Vector3(0.0, 0.0, 0.0).normalized()

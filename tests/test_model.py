@@ -13,6 +13,7 @@ from g3bell.ga import (
     Vector3,
     cross,
     dot,
+    gp,
     grade_audit,
     grade_project,
 )
@@ -167,3 +168,19 @@ def test_orthogonal_pair_cancels_to_zero_bivector(a):
     for hv in ORIENTATIONS:
         term = product_identity(a, b, hv).scale(0.5)
         assert grade_audit(term, TOL).present == frozenset({2})
+
+
+# --- closed-form observable against the geometric product ---------------------------------
+
+AXES = [Vector3(*v) for v in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
+                               (-1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, -1.0),
+                               (-0.0, 1.0, -0.0), (0.6, -0.0, -0.8))]
+
+
+def _bits(coeffs):
+    return [(c, math.copysign(1.0, c)) for c in coeffs]
+
+
+@given(st.one_of(st.sampled_from(AXES), unit_vectors()), st.sampled_from(ORIENTATIONS))
+def test_observable_closed_form_bitwise_equals_gp(a, hv):
+    assert _bits(observable(a, hv).coeffs) == _bits(gp(hv.mu, a.as_multivector()).coeffs)
