@@ -45,11 +45,14 @@ from .measure import (
     DEFAULT_P_GRID,
     ExpectationResult,
     MeasureKind,
+    Sweep,
     codomain_support,
     expectation,
     functional_range_probe,
     measure_total,
     p_grid,
+    p_grid_size,
+    sweep,
 )
 from .bell import (
     DEFAULT_ANGLES_DEG,
@@ -71,8 +74,7 @@ from .audit import (
     AuditReport,
     CLAIM_MAP,
     DEFAULT_PAIRS,
+    TOOL_VERSION as __version__,
     emit,
     run_audit,
 )
-
-__version__ = "0.1.0"

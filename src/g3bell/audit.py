@@ -24,13 +24,7 @@ from .ga import (
     grade_audit,
 )
 from .model import ORIENTATIONS, PRODUCT_FORMS, OrientationDistribution
-from .measure import (
-    ExpectationResult,
-    MeasureKind,
-    expectation,
-    measure_total,
-    p_grid,
-)
+from .measure import MeasureKind, measure_total, p_grid, p_grid_size, sweep
 from .bell import (
     DEFAULT_ANGLES_DEG,
     ChshScenario,
@@ -49,6 +43,10 @@ REFUTED = "refuted"
 INFORMATIONAL = "informational"
 
 OUTPUT_FORMATS = ("text", "json")
+
+# Bounds on the work a flag can ask for: grid points swept per pair, and trials.
+MAX_GRID_POINTS = 10_001
+MAX_TRIALS = 1_000_000
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -121,12 +119,13 @@ class AuditConfig:
         if not (isinstance(self.tolerance, (int, float))
                 and math.isfinite(self.tolerance) and self.tolerance > 0.0):
             raise ValueError(f"tolerance must be a positive real, got {self.tolerance!r}")
-        if not 0.0 < self.p_step <= 1.0:
-            raise ValueError(f"p-step must lie in (0, 1], got {self.p_step!r}")
+        if p_grid_size(self.p_step) > MAX_GRID_POINTS:
+            raise ValueError(f"p-step {self.p_step!r} gives more than "
+                             f"{MAX_GRID_POINTS} grid points")
         if len(self.angles_deg) != 4 or not all(math.isfinite(x) for x in self.angles_deg):
             raise ValueError(f"angles must be four finite degrees, got {self.angles_deg!r}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials!r}")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise ValueError(f"trials must lie in [1, {MAX_TRIALS}], got {self.trials!r}")
         if self.output_format not in OUTPUT_FORMATS:
             raise ValueError(f"output format must be one of {OUTPUT_FORMATS}, got {self.output_format!r}")
 
@@ -231,26 +230,27 @@ def run_audit(config: AuditConfig) -> AuditReport:
     # grade; every verdict is then informational.
     degenerate = not grade_audit(I, tol).present
 
-    # Expectation sweep for every pair, product form and measure kind.
-    sweeps: dict[str, dict[str, dict[MeasureKind, list[tuple[float, ExpectationResult]]]]] = {}
-    for key, a, b in pairs:
-        sweeps[key] = {}
-        for form in _FORMS:
-            fn = PRODUCT_FORMS[form]
-            sweeps[key][form] = {
-                kind: [(p, expectation(fn, a, b, OrientationDistribution(p), kind, tol))
-                       for p in grid]
-                for kind in _KINDS
-            }
+    # Both product forms at both orientations, and one expectation sweep per
+    # pair, product form and measure kind; every section below reads these.
+    products = {
+        key: {hv.orientation: {form: PRODUCT_FORMS[form](a, b, hv) for form in _FORMS}
+              for hv in ORIENTATIONS}
+        for key, a, b in pairs
+    }
+    sweeps = {
+        key: {form: {kind: sweep(PRODUCT_FORMS[form], a, b, kind, grid, tol) for kind in _KINDS}
+              for form in _FORMS}
+        for key, a, b in pairs
+    }
 
-    identity_check = _identity_check_section(pairs, tol)
-    grade_support = _grade_support_section(pairs, sweeps, grid, tol)
+    identity_check = _identity_check_section(pairs, products, tol)
+    grade_support = _grade_support_section(pairs, sweeps, tol)
     normalization = _normalization_section(grid, tol)
     functional_range = _functional_range_section(pairs, sweeps)
     chsh_section = _chsh_section(config)
 
     claims = _evaluate_claims(
-        config, pairs, sweeps, grid, tol, degenerate,
+        config, pairs, products, sweeps, tol, degenerate,
         identity_check, normalization, functional_range, chsh_section,
     )
 
@@ -284,79 +284,49 @@ def run_audit(config: AuditConfig) -> AuditReport:
     )
 
 
-def _identity_check_section(pairs, tol: float) -> dict:
+def _identity_check_section(pairs, products, tol: float) -> dict:
     section: dict = {}
     for key, a, b in pairs:
         d = dot(a, b)
         c_norm = cross(a, b).norm()
-        per_orientation = {}
-        scalar_ok = True
-        bivector_ok = True
-        for hv in ORIENTATIONS:
-            label = "orientation_plus" if hv.orientation == +1 else "orientation_minus"
-            values = {form: PRODUCT_FORMS[form](a, b, hv) for form in _FORMS}
-            for mv in values.values():
-                if abs(mv.coeffs[0] - (-d)) > tol:
-                    scalar_ok = False
-                if abs(mv.grade_norm(2) - c_norm) > tol:
-                    bivector_ok = False
-            per_orientation[label] = {
-                "identity": _mv_dict(values["identity"]),
-                "raw": _mv_dict(values["raw"]),
-                "max_coeff_diff": values["identity"].max_abs_diff(values["raw"]),
-            }
-        id_plus = PRODUCT_FORMS["identity"](a, b, ORIENTATIONS[0])
-        id_minus = PRODUCT_FORMS["identity"](a, b, ORIENTATIONS[1])
-        raw_plus = PRODUCT_FORMS["raw"](a, b, ORIENTATIONS[0])
-        raw_minus = PRODUCT_FORMS["raw"](a, b, ORIENTATIONS[1])
+        plus, minus = products[key][+1], products[key][-1]
+        every = [*plus.values(), *minus.values()]
         section[key] = {
             "dot": d,
             "cross_norm": c_norm,
-            **per_orientation,
-            "scalar_parts_match_minus_dot": scalar_ok,
-            "bivector_magnitudes_match_cross_norm": bivector_ok,
-            "raw_orientation_independent": raw_plus.max_abs_diff(raw_minus) <= tol,
+            **{label: {
+                "identity": _mv_dict(values["identity"]),
+                "raw": _mv_dict(values["raw"]),
+                "max_coeff_diff": values["identity"].max_abs_diff(values["raw"]),
+            } for label, values in (("orientation_plus", plus), ("orientation_minus", minus))},
+            "scalar_parts_match_minus_dot": all(abs(mv.coeffs[0] - (-d)) <= tol for mv in every),
+            "bivector_magnitudes_match_cross_norm":
+                all(abs(mv.grade_norm(2) - c_norm) <= tol for mv in every),
+            "raw_orientation_independent": plus["raw"].max_abs_diff(minus["raw"]) <= tol,
             "identity_bivector_flips_with_orientation":
-                (id_plus.grade(2) + id_minus.grade(2)).max_abs_coeff() <= tol,
+                (plus["identity"].grade(2) + minus["identity"].grade(2)).max_abs_coeff() <= tol,
         }
     return section
 
 
-def _grade_support_section(pairs, sweeps, grid, tol: float) -> dict:
+def _grade_support_section(pairs, sweeps, tol: float) -> dict:
     section: dict = {}
-    iso_index = _isotropic_index(grid)
-    for key, a, b in pairs:
-        entry: dict = {}
-        for form in _FORMS:
-            entry[form] = {}
-            for kind in _KINDS:
-                union = GradeSupport.empty()
-                for _, result in sweeps[key][form][kind]:
-                    union = union.union(result.support)
-                entry[form][kind.value] = _support_dict(union)
-        iso: dict = {}
-        for form in _FORMS:
-            iso[form] = {}
-            for kind in _KINDS:
-                if iso_index is None:
-                    result = expectation(PRODUCT_FORMS[form], a, b,
-                                         OrientationDistribution(0.5), kind, tol)
-                else:
-                    result = sweeps[key][form][kind][iso_index][1]
-                iso[form][kind.value] = {
-                    "value": _mv_dict(result.value),
-                    "rendered": format_value(result.value, result.term_support, tol),
-                    "term_support": _support_dict(result.term_support),
-                }
-        entry["isotropic"] = iso
+    for key, _, _ in pairs:
+        forms = sweeps[key]
+        entry: dict = {form: {kind.value: _support_dict(forms[form][kind].support)
+                              for kind in _KINDS}
+                       for form in _FORMS}
+        entry["isotropic"] = {form: {kind.value: _isotropic_dict(forms[form][kind].isotropic, tol)
+                                     for kind in _KINDS}
+                              for form in _FORMS}
         # The forms disagree away from orientation +1; quantify what that does
         # to the scalar-weight expectation across the grid.
         grade0_diff = 0.0
         raw_g2_min, raw_g2_max = math.inf, -math.inf
-        for (p, res_id), (_, res_raw) in zip(sweeps[key]["identity"][MeasureKind.SCALAR_WEIGHTS],
-                                             sweeps[key]["raw"][MeasureKind.SCALAR_WEIGHTS]):
-            grade0_diff = max(grade0_diff, abs(res_id.value.coeffs[0] - res_raw.value.coeffs[0]))
-            g2 = res_raw.value.grade_norm(2)
+        for v_id, v_raw in zip(forms["identity"][MeasureKind.SCALAR_WEIGHTS].values,
+                               forms["raw"][MeasureKind.SCALAR_WEIGHTS].values):
+            grade0_diff = max(grade0_diff, abs(v_id.coeffs[0] - v_raw.coeffs[0]))
+            g2 = v_raw.grade_norm(2)
             raw_g2_min, raw_g2_max = min(raw_g2_min, g2), max(raw_g2_max, g2)
         entry["raw_vs_identity"] = {
             "grade0_max_diff_over_grid": grade0_diff,
@@ -366,18 +336,17 @@ def _grade_support_section(pairs, sweeps, grid, tol: float) -> dict:
     return section
 
 
-def _isotropic_index(grid) -> int | None:
-    for i, p in enumerate(grid):
-        if p == 0.5:
-            return i
-    return None
+def _isotropic_dict(result, tol: float) -> dict:
+    return {
+        "value": _mv_dict(result.value),
+        "rendered": format_value(result.value, result.term_support, tol),
+        "term_support": _support_dict(result.term_support),
+    }
 
 
 def _normalization_section(grid, tol: float) -> dict:
-    scalar_totals = [measure_total(OrientationDistribution(p), MeasureKind.SCALAR_WEIGHTS)
-                     for p in grid]
-    directed_totals = [measure_total(OrientationDistribution(p), MeasureKind.DIRECTED_TRIVECTOR)
-                       for p in grid]
+    scalar_totals, directed_totals = (
+        [measure_total(OrientationDistribution(p), kind) for p in grid] for kind in _KINDS)
     one = Multivector.scalar(1.0)
     constant = all(t.max_abs_diff(scalar_totals[0]) <= tol for t in scalar_totals) and \
         all(t.max_abs_diff(directed_totals[0]) <= tol for t in directed_totals)
@@ -400,14 +369,14 @@ def _functional_range_section(pairs, sweeps) -> dict:
         entry: dict = {}
         for form in _FORMS:
             directed = sweeps[key][form][MeasureKind.DIRECTED_TRIVECTOR]
-            max_scalar = max(abs(res.value.coeffs[0]) for _, res in directed)
+            max_scalar = max(abs(v.coeffs[0]) for v in directed.values)
             entry[form] = {
                 "max_abs_scalar_component": max_scalar,
                 "nonzero_scalar_attained": max_scalar > 0.0,
             }
             if form == "identity":
                 entry[form]["probe"] = [
-                    {"p": p, "value": _mv_dict(res.value)} for p, res in directed
+                    {"p": p, "value": _mv_dict(v)} for p, v in zip(directed.grid, directed.values)
                 ]
         section[key] = entry
     return section
@@ -454,7 +423,7 @@ def _expected_support(d: float, c_norm: float, kind: MeasureKind, tol: float) ->
     return frozenset(expected)
 
 
-def _evaluate_claims(config, pairs, sweeps, grid, tol, degenerate,
+def _evaluate_claims(config, pairs, products, sweeps, tol, degenerate,
                      identity_check, normalization, functional_range, chsh_section):
     geometry = {key: (dot(a, b), cross(a, b).norm()) for key, a, b in pairs}
     claims = []
@@ -473,12 +442,8 @@ def _evaluate_claims(config, pairs, sweeps, grid, tol, degenerate,
     ok = all(identity_check[key]["scalar_parts_match_minus_dot"]
              and identity_check[key]["bivector_magnitudes_match_cross_norm"]
              for key, _, _ in pairs)
-    grade13 = 0.0
-    for key, a, b in pairs:
-        for form in _FORMS:
-            for hv in ORIENTATIONS:
-                mv = PRODUCT_FORMS[form](a, b, hv)
-                grade13 = max(grade13, mv.grade_norm(1), mv.grade_norm(3))
+    grade13 = max(mv.grade_norm(g) for by_orientation in products.values()
+                  for values in by_orientation.values() for mv in values.values() for g in (1, 3))
     ok = ok and grade13 <= tol
     add("observable_product_splits", ok, {"max_offgrade_magnitude": grade13})
 
@@ -488,32 +453,25 @@ def _evaluate_claims(config, pairs, sweeps, grid, tol, degenerate,
         observed_supports = {}
         ok = True
         for key, _, _ in pairs:
-            union = GradeSupport.empty()
-            for _, result in sweeps[key]["identity"][kind]:
-                union = union.union(result.support)
+            support = sweeps[key]["identity"][kind].support
             expected = _expected_support(*geometry[key], kind, tol)
             observed_supports[key] = {
-                "observed": list(union.grades()),
+                "observed": list(support.grades()),
                 "expected": sorted(expected),
             }
-            ok = ok and union.present == expected
+            ok = ok and support.present == expected
         add(cid, ok, {"supports": observed_supports})
 
     # orthogonal_zero_graded
     orth = {}
     ok = True
-    iso = _isotropic_index(grid)
-    for key, a, b in pairs:
+    for key, _, _ in pairs:
         d, c_norm = geometry[key]
         if abs(d) > tol or c_norm <= tol:
             continue
         for kind, want in ((MeasureKind.SCALAR_WEIGHTS, frozenset({2})),
                            (MeasureKind.DIRECTED_TRIVECTOR, frozenset({1}))):
-            if iso is None:
-                result = expectation(PRODUCT_FORMS["identity"], a, b,
-                                     OrientationDistribution(0.5), kind, tol)
-            else:
-                result = sweeps[key]["identity"][kind][iso][1]
+            result = sweeps[key]["identity"][kind].isotropic
             zero = result.value.max_abs_coeff() <= tol
             graded = result.term_support.present == want
             ok = ok and zero and graded
@@ -528,9 +486,10 @@ def _evaluate_claims(config, pairs, sweeps, grid, tol, degenerate,
     for key, _, _ in pairs:
         _, c_norm = geometry[key]
         for kind, g in ((MeasureKind.SCALAR_WEIGHTS, 2), (MeasureKind.DIRECTED_TRIVECTOR, 1)):
-            for p, result in sweeps[key]["identity"][kind]:
+            swept = sweeps[key]["identity"][kind]
+            for p, value in zip(swept.grid, swept.values):
                 target = abs(2.0 * p - 1.0) * c_norm
-                worst = max(worst, abs(result.value.grade_norm(g) - target))
+                worst = max(worst, abs(value.grade_norm(g) - target))
     add("nonisotropic_leak", worst <= tol, {"max_leak_error": worst})
 
     # directed_total_trivector
@@ -562,8 +521,7 @@ def _evaluate_claims(config, pairs, sweeps, grid, tol, degenerate,
     union = GradeSupport.empty()
     for key, _, _ in pairs:
         for kind in _KINDS:
-            for _, result in sweeps[key]["identity"][kind]:
-                union = union.union(result.support)
+            union = union.union(sweeps[key]["identity"][kind].support)
     non_scalar = bool(union.present - {0})
     observed = {"s": s_value, "abs_s": abs(s_value), "non_scalar_grades": list(union.grades())}
     if degenerate:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .audit import AuditConfig, TOOL_VERSION, emit, run_audit
+from .audit import MAX_GRID_POINTS, MAX_TRIALS, AuditConfig, TOOL_VERSION, emit, run_audit
 from .bell import DEFAULT_ANGLES_DEG
 from .ga import DEFAULT_TOLERANCE, Vector3
 
@@ -67,13 +67,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE,
                         help="audit tolerance (default 1e-12)")
     parser.add_argument("--p-step", type=float, default=0.05, dest="p_step",
-                        help="distribution grid step in (0, 1] (default 0.05)")
+                        help=f"p-grid step in (0, 1], at most {MAX_GRID_POINTS} points (default 0.05)")
     parser.add_argument("--angles", type=angles_argument,
                         default=DEFAULT_ANGLES_DEG, metavar="A,A',B,B'",
                         help="CHSH setting angles in degrees, e1-e2 plane "
                              "(default 0,90,45,135)")
     parser.add_argument("--trials", type=int, default=10000,
-                        help="random scenarios per scalarizer audit (default 10000)")
+                        help=f"random CHSH scenarios, at most {MAX_TRIALS} (default 10000)")
     parser.add_argument("--seed", type=int, default=42,
                         help="seed for the scenario sampler (default 42)")
     parser.add_argument("--format", choices=("text", "json"), default="text",

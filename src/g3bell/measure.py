@@ -17,15 +17,23 @@ from enum import Enum
 
 from .ga import (
     DEFAULT_TOLERANCE,
+    GRADES,
     GradeSupport,
     I,
+    ONE,
     Multivector,
     Vector3,
     ZERO,
     grade_audit,
     gp,
 )
-from .model import ORIENTATIONS, HiddenVariable, OrientationDistribution, ProductForm
+from .model import (ISOTROPIC, ORIENTATIONS, HiddenVariable, OrientationDistribution,
+                    ProductForm)
+
+# Terms are weighted at a 2**54 scale and unscaled once summed, so a subnormal
+# coefficient survives the p = 1/2 average; for normal numbers no bit changes.
+_SCALE = 2.0 ** 54
+_UNSCALE = 2.0 ** -54
 
 
 class MeasureKind(Enum):
@@ -80,12 +88,13 @@ def expectation(product_fn: ProductForm, a: Vector3, b: Vector3,
     The weight multiplies on the right; I is central in G3, so the side
     does not matter for the directed kind.
     """
-    value = ZERO
+    scaled = ZERO
     term_support = GradeSupport.empty()
     for hv in ORIENTATIONS:
-        term = gp(product_fn(a, b, hv), atom_weight(dist, hv, kind))
-        term_support = term_support.union(grade_audit(term, tol))
-        value = value + term
+        term = gp(product_fn(a, b, hv).scale(_SCALE), atom_weight(dist, hv, kind))
+        term_support = term_support.union(grade_audit(term.scale(_UNSCALE), tol))
+        scaled = scaled + term
+    value = scaled.scale(_UNSCALE)
     total = measure_total(dist, kind)
     return ExpectationResult(
         value=value,
@@ -96,23 +105,65 @@ def expectation(product_fn: ProductForm, a: Vector3, b: Vector3,
     )
 
 
-def p_grid(step: float = 0.05) -> tuple[float, ...]:
-    """Distribution family grid: p = 0, step, 2*step, ... capped at 1."""
+def p_grid_size(step: float = 0.05) -> int:
+    """len(p_grid(step)), computed without building the grid."""
     if not 0.0 < step <= 1.0:
         raise ValueError(f"p-grid step must lie in (0, 1], got {step!r}")
-    count = int(math.floor(1.0 / step + 1e-9))
-    points = [i * step for i in range(count + 1)]
-    points = [p for p in points if p <= 1.0 + 1e-12]
-    points[-1] = min(points[-1], 1.0)
-    if points[-1] < 1.0 - 1e-12:
-        points.append(1.0)
-    points[0] = 0.0
-    if abs(points[-1] - 1.0) <= 1e-12:
-        points[-1] = 1.0
-    return tuple(points)
+    span = 1.0 / step + 1e-9
+    if span == math.inf:
+        raise ValueError(f"p-grid step {step!r} is too small to count its points")
+    last = int(math.floor(span))
+    if last * step > 1.0 + 1e-12:
+        last -= 1
+    # A last multiple within 1e-12 of 1 is snapped to 1; otherwise 1 is appended.
+    return last + 1 + (last * step < 1.0 - 1e-12)
+
+
+def p_grid(step: float = 0.05) -> tuple[float, ...]:
+    """Distribution family grid: p = 0, step, 2*step, ... ending at exactly 1."""
+    return tuple(i * step for i in range(p_grid_size(step) - 1)) + (1.0,)
 
 
 DEFAULT_P_GRID = p_grid(0.05)
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """One product form under one measure kind over a p-grid: the value at
+    each point, their union grade support, and the isotropic expectation."""
+
+    grid: tuple[float, ...]
+    values: tuple[Multivector, ...]
+    support: GradeSupport
+    isotropic: ExpectationResult
+
+
+def sweep(product_fn: ProductForm, a: Vector3, b: Vector3, kind: MeasureKind,
+          grid: tuple[float, ...] = DEFAULT_P_GRID,
+          tol: float = DEFAULT_TOLERANCE) -> Sweep:
+    """The expectation at every grid point from two product evaluations.
+
+    Each value is affine in p and made with the float operations of
+    ``expectation``, so it equals ``expectation(...).value`` bitwise.
+    """
+    if not grid or not all(0.0 <= p <= 1.0 for p in grid):
+        raise ValueError("p-grid must be non-empty with every point in [0, 1]")
+    # product*1, or product*I (a signed permutation), is exact at any scale.
+    unit = ONE if kind is MeasureKind.SCALAR_WEIGHTS else I
+    plus, minus = (gp(product_fn(a, b, hv).scale(_SCALE), unit).coeffs for hv in ORIENTATIONS)
+    values = []
+    for p in grid:
+        q = 1.0 - p
+        values.append(Multivector(tuple(_UNSCALE * ((0.0 + t * p) + (0.0 + u * q))
+                                        for t, u in zip(plus, minus))))
+    # The union of the per-point grade audits, without building each audit.
+    peaks = tuple(max(v.grade_norm(k) for v in values) for k in GRADES)
+    return Sweep(
+        grid=tuple(grid),
+        values=tuple(values),
+        support=GradeSupport(frozenset(k for k in GRADES if peaks[k] > tol), peaks),
+        isotropic=expectation(product_fn, a, b, ISOTROPIC, kind, tol),
+    )
 
 
 def codomain_support(product_fn: ProductForm, a: Vector3, b: Vector3,
@@ -123,13 +174,7 @@ def codomain_support(product_fn: ProductForm, a: Vector3, b: Vector3,
     Union of the per-point audits over the grid, so a grade that only shows
     away from the isotropic point is still counted.
     """
-    if not grid:
-        raise ValueError("p-grid must not be empty")
-    support = GradeSupport.empty()
-    for p in grid:
-        result = expectation(product_fn, a, b, OrientationDistribution(p), kind, tol)
-        support = support.union(result.support)
-    return support
+    return sweep(product_fn, a, b, kind, grid, tol).support
 
 
 def functional_range_probe(product_fn: ProductForm, a: Vector3, b: Vector3,
@@ -137,10 +182,5 @@ def functional_range_probe(product_fn: ProductForm, a: Vector3, b: Vector3,
                            grid: tuple[float, ...] = DEFAULT_P_GRID,
                            ) -> list[tuple[float, Multivector]]:
     """Raw sweep data: (p, expectation value) at every grid point."""
-    if not grid:
-        raise ValueError("p-grid must not be empty")
-    out = []
-    for p in grid:
-        result = expectation(product_fn, a, b, OrientationDistribution(p), kind)
-        out.append((p, result.value))
-    return out
+    result = sweep(product_fn, a, b, kind, grid)
+    return list(zip(result.grid, result.values))

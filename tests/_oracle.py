@@ -6,6 +6,9 @@ and contract equal adjacent indices with the Euclidean metric (+1).  That
 part uses nothing from the package under test, so comparisons against it are
 a genuine dual route.
 
+``reference_p_grid`` is the p-grid builder as first written, clamping passes
+and all; ``p_grid`` must return the same tuple for every step.
+
 The CHSH Monte Carlo reference at the end is the straightforward loop that
 ``scalarizer_maxima`` streamlines: a fresh generator per scalarizer and the
 definitional ``chsh`` over ``scalar_correlation``.  It is built on those
@@ -14,6 +17,7 @@ package definitions and serves as a bitwise oracle for the fast path.
 
 from __future__ import annotations
 
+import math
 import random
 
 from g3bell.bell import ChshScenario, chsh, scalar_correlation
@@ -104,3 +108,17 @@ def reference_scalarizer_maxima(scalarizers, trials: int, seed: int) -> tuple[fl
                 worst = value
         maxima.append(worst)
     return tuple(maxima)
+
+
+def reference_p_grid(step: float) -> tuple[float, ...]:
+    """The original p-grid: multiples of step, filtered, clamped and snapped."""
+    count = int(math.floor(1.0 / step + 1e-9))
+    points = [i * step for i in range(count + 1)]
+    points = [p for p in points if p <= 1.0 + 1e-12]
+    points[-1] = min(points[-1], 1.0)
+    if points[-1] < 1.0 - 1e-12:
+        points.append(1.0)
+    points[0] = 0.0
+    if abs(points[-1] - 1.0) <= 1e-12:
+        points[-1] = 1.0
+    return tuple(points)

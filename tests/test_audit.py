@@ -1,9 +1,11 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import pytest
 
+import g3bell
 from g3bell.ga import GradeSupport, Multivector, Vector3, ZERO
 from g3bell.audit import (
     AuditConfig,
@@ -11,11 +13,15 @@ from g3bell.audit import (
     CONFIRMED,
     DEFAULT_PAIRS,
     INFORMATIONAL,
+    MAX_GRID_POINTS,
+    MAX_TRIALS,
+    TOOL_VERSION,
     emit,
     format_value,
     pair_key,
     run_audit,
 )
+from g3bell.measure import p_grid_size
 from g3bell.cli import main, pair_argument, angles_argument
 
 FAST = dict(trials=60, seed=42)
@@ -44,6 +50,44 @@ def default_report():
 def test_config_rejects_invalid(kwargs):
     with pytest.raises(ValueError):
         AuditConfig(**kwargs)
+
+
+# Steps and trial counts past the caps; none of them is ever built or run.
+@pytest.mark.parametrize("kwargs", [
+    {"p_step": 1e-9},
+    {"p_step": 5e-324},
+    {"p_step": 1.0 / (MAX_GRID_POINTS - 1) * 0.999},
+    {"trials": MAX_TRIALS + 1},
+    {"trials": 10**12},
+])
+def test_config_rejects_unbounded_work(kwargs):
+    with pytest.raises(ValueError):
+        AuditConfig(**kwargs)
+
+
+def test_caps_admit_the_largest_configs():
+    assert p_grid_size(1.0 / (MAX_GRID_POINTS - 1)) == MAX_GRID_POINTS
+    AuditConfig(p_step=1.0 / (MAX_GRID_POINTS - 1), trials=MAX_TRIALS)
+    assert p_grid_size(0.002) <= MAX_GRID_POINTS and 10000 <= MAX_TRIALS
+
+
+@pytest.mark.parametrize("argv", [
+    ["--p-step", "1e-9"],
+    ["--trials", str(MAX_TRIALS + 1)],
+])
+def test_cli_rejects_unbounded_work(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "g3bell: error:" in captured.err
+
+
+def test_version_kept_in_one_place():
+    tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
+    assert g3bell.__version__ is TOOL_VERSION
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == TOOL_VERSION
 
 
 # --- report content ---------------------------------------------------------------

@@ -1,9 +1,12 @@
 """The default reports, byte for byte.
 
 ``data/default_report.json`` and ``data/default_report.txt`` hold the output
-of ``g3bell --format json`` and ``g3bell`` at the default flags.  Any change
-to a default report, down to the last digit of a maximum, fails here; a
-deliberate change regenerates both files and says why.
+of ``g3bell --format json`` and ``g3bell`` at the default flags.
+``data/offgrid_report.json`` holds a JSON report on a 0.03-step grid, which
+misses p = 1/2, with two extra pairs: its isotropic records come from an
+evaluation off the sweep grid.  Any change to these reports, down to the
+last digit of a maximum, fails here; a deliberate change regenerates the
+files and says why.
 """
 
 from pathlib import Path
@@ -18,6 +21,8 @@ DATA = Path(__file__).parent / "data"
 @pytest.mark.parametrize("argv, golden", [
     (["--format", "json"], "default_report.json"),
     ([], "default_report.txt"),
+    (["--format", "json", "--p-step", "0.03", "--trials", "200",
+      "--pair", "0,0,1:0.6,0.8,0", "--pair", "0.6,0,0.8:0,0.6,0.8"], "offgrid_report.json"),
 ])
 def test_default_report_matches_golden_bytes(argv, golden, capsys):
     code = main(argv)

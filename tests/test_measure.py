@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, assume
 from hypothesis import strategies as st
 
-from g3bell.ga import I, Multivector, Vector3, ZERO, cross, dot
+from g3bell.ga import GradeSupport, I, Multivector, Vector3, ZERO, cross, dot
 from g3bell.measure import (
     DEFAULT_P_GRID,
     MeasureKind,
@@ -13,12 +13,17 @@ from g3bell.measure import (
     functional_range_probe,
     measure_total,
     p_grid,
+    p_grid_size,
+    sweep,
 )
 from g3bell.model import (
+    ISOTROPIC,
     OrientationDistribution,
     product_identity,
     product_raw,
 )
+
+from _oracle import reference_p_grid
 
 TOL = 1e-12
 
@@ -115,6 +120,31 @@ def test_p_grid_rejects_bad_step(bad):
         p_grid(bad)
 
 
+@pytest.mark.parametrize("bad", [0.0, -0.5, 1.5, math.nan, 5e-324])
+def test_p_grid_size_rejects_bad_step(bad):
+    with pytest.raises(ValueError):
+        p_grid_size(bad)
+
+
+def test_p_grid_size_counts_without_building():
+    assert p_grid_size(1e-9) == 1_000_000_001
+
+
+steps = st.one_of(
+    st.floats(min_value=1e-3, max_value=1.0),
+    st.integers(min_value=1, max_value=1000).map(lambda n: 1.0 / n),
+    st.sampled_from([0.05, 0.03, 0.1, 0.2, 0.3, 0.7, 0.002, 1.0 / 3.0, 0.1 + 1e-13,
+                     0.2 * (1.0 + 1e-10), 0.25 * (1.0 - 1e-13)]),
+)
+
+
+@given(steps)
+def test_p_grid_matches_reference_and_size(step):
+    grid = p_grid(step)
+    assert grid == reference_p_grid(step)
+    assert len(grid) == p_grid_size(step)
+
+
 # --- codomain sweeps --------------------------------------------------------------
 
 def test_codomain_support_orthogonal_pair():
@@ -164,6 +194,67 @@ def test_probe_isotropic_generic_is_pure_trivector():
 def test_probe_rejects_empty_grid():
     with pytest.raises(ValueError):
         functional_range_probe(product_identity, E1V, E2V, DIRECTED, ())
+
+
+@pytest.mark.parametrize("grid", [(), (0.5, 1.5), (-0.1,), (math.nan,)])
+def test_sweep_rejects_bad_grid(grid):
+    with pytest.raises(ValueError):
+        sweep(product_identity, E1V, E2V, SCALAR, grid)
+
+
+def test_sweep_isotropic_record_off_grid():
+    swept = sweep(product_identity, E1V, E2V, SCALAR, (0.0, 1.0))
+    assert swept.grid == (0.0, 1.0)
+    assert swept.isotropic == expectation(product_identity, E1V, E2V, ISOTROPIC, SCALAR)
+    assert swept.isotropic.term_support.present == frozenset({2})
+
+
+# --- the sweep kernel against the definitional expectation -------------------------------
+
+def _bits(mv):
+    return [(c, math.copysign(1.0, c)) for c in mv.coeffs]
+
+
+# Axis vectors with signed zeros, and settings whose dot product is subnormal.
+SPECIAL = [Vector3(*v) for v in ((1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (-0.0, 0.0, -1.0),
+                                  (0.6, -0.0, -0.8), (0.0, 1.0, 5e-324),
+                                  (0.0, 1.0, 2.225e-308), (0.0, 0.0, 1.0))]
+settings = st.one_of(st.sampled_from(SPECIAL), unit_vectors())
+forms = st.sampled_from([product_identity, product_raw])
+kinds = st.sampled_from([SCALAR, DIRECTED])
+
+
+def grids():
+    points = st.lists(probabilities, min_size=1, max_size=12)
+    with_half = points.flatmap(lambda ps: st.permutations(ps + [0.5]))
+    without_half = points.map(lambda ps: [p for p in ps if p != 0.5]).filter(bool)
+    on_p_grid = st.floats(min_value=0.02, max_value=1.0).map(p_grid)
+    return st.one_of(with_half, without_half, on_p_grid).map(tuple)
+
+
+@given(forms, settings, settings, kinds, grids())
+def test_sweep_values_bitwise_equal_expectation(form, a, b, kind, grid):
+    swept = sweep(form, a, b, kind, grid)
+    assert swept.grid == grid
+    assert len(swept.values) == len(grid)
+    union = GradeSupport.empty()
+    for p, value in zip(grid, swept.values):
+        reference = expectation(form, a, b, OrientationDistribution(p), kind)
+        assert _bits(value) == _bits(reference.value)
+        union = union.union(reference.support)
+    assert swept.support == union
+    assert swept.isotropic == expectation(form, a, b, ISOTROPIC, kind)
+
+
+@pytest.mark.parametrize("tiny", [5e-324, 2.225e-308])
+@pytest.mark.parametrize("kind, slot", [(SCALAR, 0), (DIRECTED, 7)])
+def test_isotropic_average_keeps_subnormal_dot(tiny, kind, slot):
+    b = Vector3(0.0, 1.0, tiny)
+    expected = Multivector.blade(slot, -tiny)
+    result = expectation(product_identity, Vector3(0.0, 0.0, 1.0), b, ISOTROPIC, kind)
+    assert _bits(result.value) == _bits(expected)
+    swept = sweep(product_identity, Vector3(0.0, 0.0, 1.0), b, kind, (0.0, 0.5, 1.0))
+    assert _bits(swept.values[1]) == _bits(expected)
 
 
 # --- functional structure across the family ------------------------------------------
