@@ -8,9 +8,9 @@ header, so every verdict line is traceable to the check that produced it.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 
 from .ga import (
     DEFAULT_TOLERANCE,
@@ -542,29 +542,87 @@ def _evaluate_claims(config, pairs, products, sweeps, tol, degenerate,
 # Emission
 
 
-def _round15(x: float) -> float:
+def _json_float(x: float) -> str:
+    """``float.__repr__`` of ``x`` rounded to 15 significant digits, zero as
+    ``0.0``.  NaN and the infinities raise ``ValueError``, as
+    ``json.dumps(allow_nan=False)`` does; a finite value that rounds past the
+    largest float is written unrounded."""
     if x == 0.0:
-        return 0.0
-    return float(f"{x:.15g}")
+        return "0.0"
+    s = f"{x:.15g}"
+    # At most 15 significant digits in fixed notation is already the
+    # shortest repr of the rounded float.
+    if "." in s and "e" not in s:
+        return s
+    if not math.isfinite(x):
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    r = float(s)
+    return float.__repr__(r if math.isfinite(r) else x)
 
 
-def _round_tree(obj):
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, float):
-        return _round15(obj)
-    if isinstance(obj, dict):
-        return {k: _round_tree(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_tree(v) for v in obj]
-    return obj
+def _json_document(tree) -> str:
+    """``json.dumps(tree, indent=2, allow_nan=False) + "\\n"`` in one direct
+    pass, each float rounded by ``_json_float``.  Dict keys must be strings;
+    a value of any other type than str, int, float, bool, None, dict, list or
+    tuple raises ``TypeError``."""
+    out: list[str] = []
+    put = out.append
+
+    # pad is a newline and the indent of obj's own line.
+    def walk(obj, pad: str) -> None:
+        if isinstance(obj, float):
+            put(_json_float(obj))
+        elif isinstance(obj, str):
+            put(_quote(obj))
+        elif isinstance(obj, dict):
+            if not obj:
+                put("{}")
+                return
+            inner = pad + "  "
+            comma = "," + inner
+            sep = "{" + inner
+            for key, value in obj.items():
+                put(f"{sep}{_quote(key)}: ")  # TypeError unless key is a str
+                # Most leaves are the floats of multivector dicts: skip a call.
+                if isinstance(value, float):
+                    put(_json_float(value))
+                else:
+                    walk(value, inner)
+                sep = comma
+            put(pad + "}")
+        elif isinstance(obj, (list, tuple)):
+            if not obj:
+                put("[]")
+                return
+            inner = pad + "  "
+            comma = "," + inner
+            sep = "[" + inner
+            for value in obj:
+                put(sep)
+                walk(value, inner)
+                sep = comma
+            put(pad + "]")
+        elif obj is None:
+            put("null")
+        elif obj is True:
+            put("true")
+        elif obj is False:
+            put("false")
+        elif isinstance(obj, int):
+            put(int.__repr__(obj))
+        else:
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+    walk(tree, "\n")
+    put("\n")
+    return "".join(out)
 
 
 def emit(report: AuditReport, output_format: str | None = None) -> str:
     """Render the report as a text or json document (no trailing I/O)."""
     fmt = output_format or report.config.output_format
     if fmt == "json":
-        return json.dumps(_round_tree(report.to_dict()), indent=2, allow_nan=False) + "\n"
+        return _json_document(report.to_dict())
     if fmt == "text":
         return _render_text(report)
     raise ValueError(f"unknown output format {fmt!r}")

@@ -13,10 +13,16 @@ The CHSH Monte Carlo reference at the end is the straightforward loop that
 ``scalarizer_maxima`` streamlines: a fresh generator per scalarizer and the
 definitional ``chsh`` over ``scalar_correlation``.  It is built on those
 package definitions and serves as a bitwise oracle for the fast path.
+
+``reference_emit_json`` is the JSON emission as first written: a copy of the
+tree with every float rounded to 15 significant digits, then the stdlib
+encoder at ``indent=2`` with ``allow_nan=False``.  The report emitter must
+write the same bytes.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import random
 
@@ -122,3 +128,26 @@ def reference_p_grid(step: float) -> tuple[float, ...]:
     if abs(points[-1] - 1.0) <= 1e-12:
         points[-1] = 1.0
     return tuple(points)
+
+
+def _reference_round15(x: float) -> float:
+    if x == 0.0:
+        return 0.0
+    return float(f"{x:.15g}")
+
+
+def _reference_round_tree(obj):
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, float):
+        return _reference_round15(obj)
+    if isinstance(obj, dict):
+        return {k: _reference_round_tree(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_reference_round_tree(v) for v in obj]
+    return obj
+
+
+def reference_emit_json(tree) -> str:
+    """The original JSON document: a rounded copy, then ``json.dumps``."""
+    return json.dumps(_reference_round_tree(tree), indent=2, allow_nan=False) + "\n"

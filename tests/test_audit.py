@@ -1,9 +1,13 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import g3bell
 from g3bell.ga import GradeSupport, Multivector, Vector3, ZERO
@@ -18,11 +22,14 @@ from g3bell.audit import (
     TOOL_VERSION,
     emit,
     format_value,
+    _json_document,
     pair_key,
     run_audit,
 )
 from g3bell.measure import p_grid_size
 from g3bell.cli import main, pair_argument, angles_argument
+
+from _oracle import reference_emit_json
 
 FAST = dict(trials=60, seed=42)
 
@@ -299,6 +306,96 @@ def test_json_emit_refuses_nan(default_report):
         emit(bad, "json")
 
 
+# --- the JSON emitter against the stdlib encoder --------------------------------------------
+
+EDGE_FLOATS = [0.0, 5e-324, 2.225e-308, 1e-5, 1e-4, 9.99999999999999e14, 1e15, 1e16,
+               9.999999999999999e15, 1e308, 1.7976931348623157e308, 0.1, 1.0 / 3.0]
+json_floats = st.one_of(
+    st.sampled_from(EDGE_FLOATS + [-x for x in EDGE_FLOATS]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+json_strings = st.text(alphabet=st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600'),
+                                          st.characters()), max_size=8)
+json_leaves = st.one_of(json_floats, st.integers(), st.booleans(), st.none(), json_strings)
+json_trees = st.recursive(
+    json_leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(json_strings, children, max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+def _emitted(emitter, tree):
+    """The document, or the exception type the emitter raised."""
+    try:
+        return emitter(tree)
+    except (ValueError, TypeError) as exc:
+        return type(exc)
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-finite JSON token {token}")
+
+
+@given(json_trees)
+def test_json_document_matches_stdlib_encoder(tree):
+    expected = _emitted(reference_emit_json, tree)
+    got = _emitted(_json_document, tree)
+    if expected is ValueError:
+        # The trees hold no NaN or inf, so the stdlib path failed on a float
+        # that rounds past the largest one; the emitter writes it unrounded.
+        assert isinstance(got, str)
+        json.loads(got, parse_constant=_reject_constant)
+    else:
+        assert got == expected
+
+
+@pytest.mark.parametrize("x, text", [
+    (1.7976931348623157e308, "1.7976931348623157e+308"),
+    (-1.7976931348623151e308, "-1.7976931348623151e+308"),
+    (1.797693134862315e308, "1.79769313486231e+308"),
+])
+def test_json_document_keeps_top_of_range_finite(x, text):
+    assert _json_document([x]) == f"[\n  {text}\n]\n"
+
+
+def test_cli_json_with_top_of_range_tolerance(capsys):
+    code = main(["--trials", "5", "--tol", "1.7976931348623151e+308", "--format", "json"])
+    doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert code == 1  # a tolerance above unit magnitude: every verdict informational
+    assert doc["config"]["tolerance"] == 1.7976931348623151e308
+
+
+@pytest.mark.parametrize("tree", [
+    math.nan, math.inf, -math.inf,
+    [0.0, math.nan], (1, [2.0, {"x": -math.inf}]), {"a": {"b": [{"c": math.inf}]}},
+])
+def test_json_document_refuses_non_finite(tree):
+    with pytest.raises(ValueError):
+        reference_emit_json(tree)
+    with pytest.raises(ValueError):
+        _json_document(tree)
+
+
+@pytest.mark.parametrize("tree", [
+    object(), {1, 2}, b"bytes", 1j, [0.0, {"a": object()}], {"a": (1, frozenset())},
+])
+def test_json_document_refuses_unsupported_types(tree):
+    with pytest.raises(TypeError):
+        reference_emit_json(tree)
+    with pytest.raises(TypeError):
+        _json_document(tree)
+
+
+def test_json_document_refuses_non_string_keys():
+    # Report keys are always strings; json.dumps would coerce this one to "1".
+    with pytest.raises(TypeError):
+        _json_document({1: 0.0})
+
+
 def test_angles_argument_accepts_comma_and_slash():
     assert angles_argument("0,90,45,135") == (0.0, 90.0, 45.0, 135.0)
     assert angles_argument("0/90/45/135") == (0.0, 90.0, 45.0, 135.0)
@@ -316,3 +413,56 @@ def test_cli_io_failure_exits_three(monkeypatch, capsys):
     monkeypatch.setattr(sys.stdout, "write", broken_write)
     code = main(["--trials", "60"])
     assert code == 3
+
+
+# --- the CLI on arbitrary flag values ------------------------------------------------------
+
+def _unit_vector_text():
+    vec = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: math.hypot(*v) > 0.1)
+    return vec.map(lambda v: ",".join(repr(c / math.hypot(*v)) for c in v))
+
+
+_ODD_NUMBERS = ["nan", "inf", "-inf", "1e400", "", "x", "1,2", "0x10"]
+
+# Valid values keep the work small: at most 50 trials and a p-step of at least 0.05.
+_valid_flags = st.one_of(
+    st.tuples(st.just("--tol"), st.floats(min_value=5e-324, allow_infinity=False).map(repr)),
+    st.tuples(st.just("--p-step"), st.floats(0.05, 1.0).map(repr)),
+    st.tuples(st.just("--seed"), st.integers(-2**70, 2**70).map(str)),
+    st.tuples(st.just("--angles"), st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                            min_size=4, max_size=4).map(lambda xs: ",".join(map(repr, xs)))),
+    st.tuples(st.just("--pair"), st.tuples(_unit_vector_text(), _unit_vector_text()).map(":".join)),
+    st.just(("--pair", "1.0000001,0,0:0,1,0")),
+)
+# Every odd value is refused before any work: malformed, non-finite or out of range.
+_odd_flags = st.one_of(
+    st.tuples(st.just("--tol"), st.sampled_from(_ODD_NUMBERS + ["0", "-1", "-0.0"])),
+    st.tuples(st.just("--p-step"), st.sampled_from(_ODD_NUMBERS + ["0", "-0.1", "1.5", "1e-9", "5e-324"])),
+    st.tuples(st.just("--trials"), st.sampled_from(_ODD_NUMBERS + ["0", "-3", "1.5", "1000001", "10" * 10])),
+    st.tuples(st.just("--seed"), st.sampled_from(_ODD_NUMBERS + ["1.0"])),
+    st.tuples(st.just("--angles"), st.sampled_from(["0,90,45", "0,90,45,135,180", "nan,0,0,0",
+                                                    "0,inf,0,0", "0;90;45;135", ""])),
+    st.tuples(st.just("--pair"), st.sampled_from(["1,0,0", "1,0,0:0,1", "2,0,0:0,1,0", "nan,0,0:0,1,0",
+                                                  "1e400,0,0:0,1,0", "0,0,0:0,0,0", "a,b,c:d,e,f",
+                                                  "1,0,0:0,1,0:0,0,1"])),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 50), st.lists(_valid_flags, max_size=4), st.lists(_odd_flags, max_size=1),
+       st.booleans())
+def test_cli_exit_code_and_json_on_arbitrary_flags(trials, valid, odd, as_json):
+    # The "=" form lets a value start with "-", which argparse would take for a flag.
+    argv = [f"--trials={trials}"] + [f"{name}={value}" for name, value in valid]
+    argv += [part for flag in odd for part in flag]
+    if as_json:
+        argv += ["--format", "json"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3)
+    if as_json and out.getvalue():
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
