@@ -57,7 +57,14 @@ DEFAULT_PAIRS = (
     (Vector3(1.0, 0.0, 0.0), Vector3(_SQRT1_2, _SQRT1_2, 0.0)),
 )
 
-_KINDS = (MeasureKind.SCALAR_WEIGHTS, MeasureKind.DIRECTED_TRIVECTOR)
+# The grades that the two parts of the observable product -a.b - mu(a x b)
+# feed under each measure kind, as (a.b part, a x b part).  The directed
+# measure multiplies by I, which sends grade 0 to 3 and grade 2 to 1.
+_GRADES_FED = {
+    MeasureKind.SCALAR_WEIGHTS: (0, 2),
+    MeasureKind.DIRECTED_TRIVECTOR: (3, 1),
+}
+_KINDS = tuple(_GRADES_FED)
 _FORMS = ("identity", "raw")
 
 # claim id -> (one-line statement, what is checked).  Statements double as
@@ -105,6 +112,10 @@ CLAIM_MAP = (
 )
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class AuditConfig:
     tolerance: float = DEFAULT_TOLERANCE
@@ -116,7 +127,7 @@ class AuditConfig:
     extra_pairs: tuple[tuple[Vector3, Vector3], ...] = ()
 
     def __post_init__(self):
-        if not (isinstance(self.tolerance, (int, float))
+        if not (isinstance(self.tolerance, (int, float)) and not isinstance(self.tolerance, bool)
                 and math.isfinite(self.tolerance) and self.tolerance > 0.0):
             raise ValueError(f"tolerance must be a positive real, got {self.tolerance!r}")
         if p_grid_size(self.p_step) > MAX_GRID_POINTS:
@@ -124,8 +135,10 @@ class AuditConfig:
                              f"{MAX_GRID_POINTS} grid points")
         if len(self.angles_deg) != 4 or not all(math.isfinite(x) for x in self.angles_deg):
             raise ValueError(f"angles must be four finite degrees, got {self.angles_deg!r}")
-        if not 1 <= self.trials <= MAX_TRIALS:
-            raise ValueError(f"trials must lie in [1, {MAX_TRIALS}], got {self.trials!r}")
+        if not (_is_int(self.trials) and 1 <= self.trials <= MAX_TRIALS):
+            raise ValueError(f"trials must be an integer in [1, {MAX_TRIALS}], got {self.trials!r}")
+        if not _is_int(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.output_format not in OUTPUT_FORMATS:
             raise ValueError(f"output format must be one of {OUTPUT_FORMATS}, got {self.output_format!r}")
 
@@ -190,10 +203,6 @@ def _mv_dict(mv: Multivector) -> dict:
     return dict(zip(_MV_KEYS, mv.coeffs))
 
 
-def _vec_list(v: Vector3) -> list[float]:
-    return [v.x, v.y, v.z]
-
-
 def _support_dict(gs: GradeSupport) -> dict:
     return {"present": list(gs.grades()), "max_magnitude": list(gs.max_magnitude)}
 
@@ -222,37 +231,56 @@ def audited_pairs(config: AuditConfig) -> list[tuple[str, Vector3, Vector3]]:
     return out
 
 
+@dataclass(frozen=True)
+class _AuditedPair:
+    """One audited setting pair: its geometry, both product forms at both
+    orientations, and one expectation sweep per product form and measure
+    kind.  Every per-pair report section and every claim reads this record."""
+
+    key: str
+    dot: float
+    cross_norm: float
+    products: dict  # orientation -> form -> Multivector
+    sweeps: dict  # form -> MeasureKind -> Sweep
+
+    def every_product(self) -> list[Multivector]:
+        return [mv for by_form in self.products.values() for mv in by_form.values()]
+
+    def scalar_parts_match_minus_dot(self, tol: float) -> bool:
+        return all(abs(mv.coeffs[0] - (-self.dot)) <= tol for mv in self.every_product())
+
+    def bivector_magnitudes_match_cross_norm(self, tol: float) -> bool:
+        return all(abs(mv.grade_norm(2) - self.cross_norm) <= tol for mv in self.every_product())
+
+    def max_abs_directed_scalar(self, form: str) -> float:
+        directed = self.sweeps[form][MeasureKind.DIRECTED_TRIVECTOR]
+        return max(abs(v.coeffs[0]) for v in directed.values)
+
+
+def _audit_pair(key: str, a: Vector3, b: Vector3, grid, tol: float) -> _AuditedPair:
+    # The forms are looked up at call time, so a wrapped PRODUCT_FORMS entry is seen.
+    return _AuditedPair(
+        key=key,
+        dot=dot(a, b),
+        cross_norm=cross(a, b).norm(),
+        products={hv.orientation: {form: PRODUCT_FORMS[form](a, b, hv) for form in _FORMS}
+                  for hv in ORIENTATIONS},
+        sweeps={form: {kind: sweep(PRODUCT_FORMS[form], a, b, kind, grid, tol) for kind in _KINDS}
+                for form in _FORMS},
+    )
+
+
 def run_audit(config: AuditConfig) -> AuditReport:
     tol = config.tolerance
     grid = p_grid(config.p_step)
-    pairs = audited_pairs(config)
+    pairs = [_audit_pair(key, a, b, grid, tol) for key, a, b in audited_pairs(config)]
     # A tolerance that swallows unit-magnitude blades cannot distinguish any
     # grade; every verdict is then informational.
     degenerate = not grade_audit(I, tol).present
 
-    # Both product forms at both orientations, and one expectation sweep per
-    # pair, product form and measure kind; every section below reads these.
-    products = {
-        key: {hv.orientation: {form: PRODUCT_FORMS[form](a, b, hv) for form in _FORMS}
-              for hv in ORIENTATIONS}
-        for key, a, b in pairs
-    }
-    sweeps = {
-        key: {form: {kind: sweep(PRODUCT_FORMS[form], a, b, kind, grid, tol) for kind in _KINDS}
-              for form in _FORMS}
-        for key, a, b in pairs
-    }
-
-    identity_check = _identity_check_section(pairs, products, tol)
-    grade_support = _grade_support_section(pairs, sweeps, tol)
     normalization = _normalization_section(grid, tol)
-    functional_range = _functional_range_section(pairs, sweeps)
     chsh_section = _chsh_section(config)
-
-    claims = _evaluate_claims(
-        config, pairs, products, sweeps, tol, degenerate,
-        identity_check, normalization, functional_range, chsh_section,
-    )
+    claims = _evaluate_claims(config, pairs, tol, degenerate, normalization, chsh_section)
 
     notes = [
         "the identity form and the literal observable product agree at orientation +1 "
@@ -272,68 +300,58 @@ def run_audit(config: AuditConfig) -> AuditReport:
 
     return AuditReport(
         config=config,
-        pair_keys=tuple(key for key, _, _ in pairs),
+        pair_keys=tuple(pr.key for pr in pairs),
         degenerate_tolerance=degenerate,
-        identity_check=identity_check,
-        grade_support=grade_support,
+        identity_check={pr.key: _identity_check(pr, tol) for pr in pairs},
+        grade_support={pr.key: _grade_support(pr, tol) for pr in pairs},
         normalization=normalization,
-        functional_range=functional_range,
+        functional_range={pr.key: _functional_range(pr) for pr in pairs},
         chsh=chsh_section,
         claims=tuple(claims),
         notes=tuple(notes),
     )
 
 
-def _identity_check_section(pairs, products, tol: float) -> dict:
-    section: dict = {}
-    for key, a, b in pairs:
-        d = dot(a, b)
-        c_norm = cross(a, b).norm()
-        plus, minus = products[key][+1], products[key][-1]
-        every = [*plus.values(), *minus.values()]
-        section[key] = {
-            "dot": d,
-            "cross_norm": c_norm,
-            **{label: {
-                "identity": _mv_dict(values["identity"]),
-                "raw": _mv_dict(values["raw"]),
-                "max_coeff_diff": values["identity"].max_abs_diff(values["raw"]),
-            } for label, values in (("orientation_plus", plus), ("orientation_minus", minus))},
-            "scalar_parts_match_minus_dot": all(abs(mv.coeffs[0] - (-d)) <= tol for mv in every),
-            "bivector_magnitudes_match_cross_norm":
-                all(abs(mv.grade_norm(2) - c_norm) <= tol for mv in every),
-            "raw_orientation_independent": plus["raw"].max_abs_diff(minus["raw"]) <= tol,
-            "identity_bivector_flips_with_orientation":
-                (plus["identity"].grade(2) + minus["identity"].grade(2)).max_abs_coeff() <= tol,
-        }
-    return section
+def _identity_check(pr: _AuditedPair, tol: float) -> dict:
+    plus, minus = pr.products[+1], pr.products[-1]
+    return {
+        "dot": pr.dot,
+        "cross_norm": pr.cross_norm,
+        **{label: {
+            "identity": _mv_dict(values["identity"]),
+            "raw": _mv_dict(values["raw"]),
+            "max_coeff_diff": values["identity"].max_abs_diff(values["raw"]),
+        } for label, values in (("orientation_plus", plus), ("orientation_minus", minus))},
+        "scalar_parts_match_minus_dot": pr.scalar_parts_match_minus_dot(tol),
+        "bivector_magnitudes_match_cross_norm": pr.bivector_magnitudes_match_cross_norm(tol),
+        "raw_orientation_independent": plus["raw"].max_abs_diff(minus["raw"]) <= tol,
+        "identity_bivector_flips_with_orientation":
+            (plus["identity"].grade(2) + minus["identity"].grade(2)).max_abs_coeff() <= tol,
+    }
 
 
-def _grade_support_section(pairs, sweeps, tol: float) -> dict:
-    section: dict = {}
-    for key, _, _ in pairs:
-        forms = sweeps[key]
-        entry: dict = {form: {kind.value: _support_dict(forms[form][kind].support)
-                              for kind in _KINDS}
-                       for form in _FORMS}
-        entry["isotropic"] = {form: {kind.value: _isotropic_dict(forms[form][kind].isotropic, tol)
-                                     for kind in _KINDS}
-                              for form in _FORMS}
-        # The forms disagree away from orientation +1; quantify what that does
-        # to the scalar-weight expectation across the grid.
-        grade0_diff = 0.0
-        raw_g2_min, raw_g2_max = math.inf, -math.inf
-        for v_id, v_raw in zip(forms["identity"][MeasureKind.SCALAR_WEIGHTS].values,
-                               forms["raw"][MeasureKind.SCALAR_WEIGHTS].values):
-            grade0_diff = max(grade0_diff, abs(v_id.coeffs[0] - v_raw.coeffs[0]))
-            g2 = v_raw.grade_norm(2)
-            raw_g2_min, raw_g2_max = min(raw_g2_min, g2), max(raw_g2_max, g2)
-        entry["raw_vs_identity"] = {
-            "grade0_max_diff_over_grid": grade0_diff,
-            "raw_scalar_weight_grade2_range": [raw_g2_min, raw_g2_max],
-        }
-        section[key] = entry
-    return section
+def _grade_support(pr: _AuditedPair, tol: float) -> dict:
+    forms = pr.sweeps
+    entry: dict = {form: {kind.value: _support_dict(forms[form][kind].support)
+                          for kind in _KINDS}
+                   for form in _FORMS}
+    entry["isotropic"] = {form: {kind.value: _isotropic_dict(forms[form][kind].isotropic, tol)
+                                 for kind in _KINDS}
+                          for form in _FORMS}
+    # The forms disagree away from orientation +1; quantify what that does
+    # to the scalar-weight expectation across the grid.
+    grade0_diff = 0.0
+    raw_g2_min, raw_g2_max = math.inf, -math.inf
+    for v_id, v_raw in zip(forms["identity"][MeasureKind.SCALAR_WEIGHTS].values,
+                           forms["raw"][MeasureKind.SCALAR_WEIGHTS].values):
+        grade0_diff = max(grade0_diff, abs(v_id.coeffs[0] - v_raw.coeffs[0]))
+        g2 = v_raw.grade_norm(2)
+        raw_g2_min, raw_g2_max = min(raw_g2_min, g2), max(raw_g2_max, g2)
+    entry["raw_vs_identity"] = {
+        "grade0_max_diff_over_grid": grade0_diff,
+        "raw_scalar_weight_grade2_range": [raw_g2_min, raw_g2_max],
+    }
+    return entry
 
 
 def _isotropic_dict(result, tol: float) -> dict:
@@ -363,23 +381,19 @@ def _normalization_section(grid, tol: float) -> dict:
     }
 
 
-def _functional_range_section(pairs, sweeps) -> dict:
-    section: dict = {}
-    for key, _, _ in pairs:
-        entry: dict = {}
-        for form in _FORMS:
-            directed = sweeps[key][form][MeasureKind.DIRECTED_TRIVECTOR]
-            max_scalar = max(abs(v.coeffs[0]) for v in directed.values)
-            entry[form] = {
-                "max_abs_scalar_component": max_scalar,
-                "nonzero_scalar_attained": max_scalar > 0.0,
-            }
-            if form == "identity":
-                entry[form]["probe"] = [
-                    {"p": p, "value": _mv_dict(v)} for p, v in zip(directed.grid, directed.values)
-                ]
-        section[key] = entry
-    return section
+def _functional_range(pr: _AuditedPair) -> dict:
+    entry: dict = {}
+    for form in _FORMS:
+        max_scalar = pr.max_abs_directed_scalar(form)
+        entry[form] = {
+            "max_abs_scalar_component": max_scalar,
+            "nonzero_scalar_attained": max_scalar > 0.0,
+        }
+    directed = pr.sweeps["identity"][MeasureKind.DIRECTED_TRIVECTOR]
+    entry["identity"]["probe"] = [
+        {"p": p, "value": _mv_dict(v)} for p, v in zip(directed.grid, directed.values)
+    ]
+    return entry
 
 
 def _chsh_section(config: AuditConfig) -> dict:
@@ -393,12 +407,12 @@ def _chsh_section(config: AuditConfig) -> dict:
     return {
         "angles_deg": list(config.angles_deg),
         "scenario": {
-            "a": _vec_list(scenario.a),
-            "a_prime": _vec_list(scenario.a_prime),
-            "b": _vec_list(scenario.b),
-            "b_prime": _vec_list(scenario.b_prime),
+            "a": list(scenario.a.components()),
+            "a_prime": list(scenario.a_prime.components()),
+            "b": list(scenario.b.components()),
+            "b_prime": list(scenario.b_prime.components()),
         },
-        "lhv_bruteforce_bound": lhv_bruteforce_bound(scenario),
+        "lhv_bruteforce_bound": lhv_bruteforce_bound(),
         "trials": config.trials,
         "seed": config.seed,
         "scalarizer_maxima": maxima,
@@ -407,25 +421,7 @@ def _chsh_section(config: AuditConfig) -> dict:
     }
 
 
-def _expected_support(d: float, c_norm: float, kind: MeasureKind, tol: float) -> frozenset[int]:
-    """Grades the sweep must reach, given the pair geometry: the dot part
-    feeds grade 0 (scalar weights) or 3 (directed), the cross part feeds
-    grade 2 or 1."""
-    if kind is MeasureKind.SCALAR_WEIGHTS:
-        dot_grade, cross_grade = 0, 2
-    else:
-        dot_grade, cross_grade = 3, 1
-    expected = set()
-    if abs(d) > tol:
-        expected.add(dot_grade)
-    if c_norm > tol:
-        expected.add(cross_grade)
-    return frozenset(expected)
-
-
-def _evaluate_claims(config, pairs, products, sweeps, tol, degenerate,
-                     identity_check, normalization, functional_range, chsh_section):
-    geometry = {key: (dot(a, b), cross(a, b).norm()) for key, a, b in pairs}
+def _evaluate_claims(config, pairs, tol, degenerate, normalization, chsh_section):
     claims = []
 
     def add(cid: str, ok: bool, observed: dict, verdict: str | None = None):
@@ -439,11 +435,9 @@ def _evaluate_claims(config, pairs, products, sweeps, tol, degenerate,
                        "verdict": verdict, "observed": observed})
 
     # observable_product_splits
-    ok = all(identity_check[key]["scalar_parts_match_minus_dot"]
-             and identity_check[key]["bivector_magnitudes_match_cross_norm"]
-             for key, _, _ in pairs)
-    grade13 = max(mv.grade_norm(g) for by_orientation in products.values()
-                  for values in by_orientation.values() for mv in values.values() for g in (1, 3))
+    ok = all(pr.scalar_parts_match_minus_dot(tol) and pr.bivector_magnitudes_match_cross_norm(tol)
+             for pr in pairs)
+    grade13 = max(mv.grade_norm(g) for pr in pairs for mv in pr.every_product() for g in (1, 3))
     ok = ok and grade13 <= tol
     add("observable_product_splits", ok, {"max_offgrade_magnitude": grade13})
 
@@ -452,10 +446,12 @@ def _evaluate_claims(config, pairs, products, sweeps, tol, degenerate,
                       ("directed_codomain", MeasureKind.DIRECTED_TRIVECTOR)):
         observed_supports = {}
         ok = True
-        for key, _, _ in pairs:
-            support = sweeps[key]["identity"][kind].support
-            expected = _expected_support(*geometry[key], kind, tol)
-            observed_supports[key] = {
+        for pr in pairs:
+            support = pr.sweeps["identity"][kind].support
+            # Each part of the product reaches its grade unless it vanishes here.
+            parts = (abs(pr.dot), pr.cross_norm)
+            expected = {grade for grade, part in zip(_GRADES_FED[kind], parts) if part > tol}
+            observed_supports[pr.key] = {
                 "observed": list(support.grades()),
                 "expected": sorted(expected),
             }
@@ -465,17 +461,15 @@ def _evaluate_claims(config, pairs, products, sweeps, tol, degenerate,
     # orthogonal_zero_graded
     orth = {}
     ok = True
-    for key, _, _ in pairs:
-        d, c_norm = geometry[key]
-        if abs(d) > tol or c_norm <= tol:
+    for pr in pairs:
+        if abs(pr.dot) > tol or pr.cross_norm <= tol:
             continue
-        for kind, want in ((MeasureKind.SCALAR_WEIGHTS, frozenset({2})),
-                           (MeasureKind.DIRECTED_TRIVECTOR, frozenset({1}))):
-            result = sweeps[key]["identity"][kind].isotropic
+        for kind, (_, cross_grade) in _GRADES_FED.items():
+            result = pr.sweeps["identity"][kind].isotropic
             zero = result.value.max_abs_coeff() <= tol
-            graded = result.term_support.present == want
+            graded = result.term_support.present == {cross_grade}
             ok = ok and zero and graded
-            orth[f"{key}|{kind.value}"] = {
+            orth[f"{pr.key}|{kind.value}"] = {
                 "value_is_zero": zero,
                 "term_support": list(result.term_support.grades()),
             }
@@ -483,13 +477,12 @@ def _evaluate_claims(config, pairs, products, sweeps, tol, degenerate,
 
     # nonisotropic_leak
     worst = 0.0
-    for key, _, _ in pairs:
-        _, c_norm = geometry[key]
-        for kind, g in ((MeasureKind.SCALAR_WEIGHTS, 2), (MeasureKind.DIRECTED_TRIVECTOR, 1)):
-            swept = sweeps[key]["identity"][kind]
+    for pr in pairs:
+        for kind, (_, cross_grade) in _GRADES_FED.items():
+            swept = pr.sweeps["identity"][kind]
             for p, value in zip(swept.grid, swept.values):
-                target = abs(2.0 * p - 1.0) * c_norm
-                worst = max(worst, abs(value.grade_norm(g) - target))
+                target = abs(2.0 * p - 1.0) * pr.cross_norm
+                worst = max(worst, abs(value.grade_norm(cross_grade) - target))
     add("nonisotropic_leak", worst <= tol, {"max_leak_error": worst})
 
     # directed_total_trivector
@@ -503,8 +496,7 @@ def _evaluate_claims(config, pairs, products, sweeps, tol, degenerate,
     })
 
     # directed_scalar_range_empty
-    worst = max(functional_range[key][form]["max_abs_scalar_component"]
-                for key, _, _ in pairs for form in _FORMS)
+    worst = max(pr.max_abs_directed_scalar(form) for pr in pairs for form in _FORMS)
     add("directed_scalar_range_empty", worst <= tol, {"max_abs_scalar_component": worst})
 
     # lhv_bound_two
@@ -519,9 +511,9 @@ def _evaluate_claims(config, pairs, products, sweeps, tol, degenerate,
     # projection_reproduces_violation
     s_value = chsh_section["quantum_target_s"]
     union = GradeSupport.empty()
-    for key, _, _ in pairs:
+    for pr in pairs:
         for kind in _KINDS:
-            union = union.union(sweeps[key]["identity"][kind].support)
+            union = union.union(pr.sweeps["identity"][kind].support)
     non_scalar = bool(union.present - {0})
     observed = {"s": s_value, "abs_s": abs(s_value), "non_scalar_grades": list(union.grades())}
     if degenerate:

@@ -165,7 +165,7 @@ def all_strategies() -> tuple[DeterministicStrategy, ...]:
     )
 
 
-def lhv_bruteforce_bound(sc: ChshScenario | None = None) -> float:
+def lhv_bruteforce_bound() -> float:
     """Max |S| over all 16 deterministic strategies; scenario-independent."""
     return max(abs(st.chsh_combination()) for st in all_strategies())
 

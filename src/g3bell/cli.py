@@ -10,9 +10,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .audit import MAX_GRID_POINTS, MAX_TRIALS, AuditConfig, TOOL_VERSION, emit, run_audit
-from .bell import DEFAULT_ANGLES_DEG
-from .ga import DEFAULT_TOLERANCE, Vector3
+from .audit import (MAX_GRID_POINTS, MAX_TRIALS, OUTPUT_FORMATS, AuditConfig, TOOL_VERSION,
+                    emit, run_audit)
+from .ga import Vector3
 
 USAGE_ERROR = 2
 IO_ERROR = 3
@@ -58,26 +58,28 @@ def angles_argument(text: str) -> tuple[float, float, float, float]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    d = AuditConfig()
     parser = argparse.ArgumentParser(
         prog="g3bell",
         description="Audit the trivector hidden-variable correlation model: "
                     "grade content of its expectation functionals, normalization "
                     "of the directed measure, and CHSH bounds of its scalarizations.",
     )
-    parser.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE,
-                        help="audit tolerance (default 1e-12)")
-    parser.add_argument("--p-step", type=float, default=0.05, dest="p_step",
-                        help=f"p-grid step in (0, 1], at most {MAX_GRID_POINTS} points (default 0.05)")
+    parser.add_argument("--tol", type=float, default=d.tolerance,
+                        help=f"audit tolerance (default {d.tolerance:g})")
+    parser.add_argument("--p-step", type=float, default=d.p_step, dest="p_step",
+                        help=f"p-grid step in (0, 1], at most {MAX_GRID_POINTS} points "
+                             f"(default {d.p_step:g})")
     parser.add_argument("--angles", type=angles_argument,
-                        default=DEFAULT_ANGLES_DEG, metavar="A,A',B,B'",
+                        default=d.angles_deg, metavar="A,A',B,B'",
                         help="CHSH setting angles in degrees, e1-e2 plane "
-                             "(default 0,90,45,135)")
-    parser.add_argument("--trials", type=int, default=10000,
-                        help=f"random CHSH scenarios, at most {MAX_TRIALS} (default 10000)")
-    parser.add_argument("--seed", type=int, default=42,
-                        help="seed for the scenario sampler (default 42)")
-    parser.add_argument("--format", choices=("text", "json"), default="text",
-                        help="report format (default text)")
+                             f"(default {','.join(f'{x:g}' for x in d.angles_deg)})")
+    parser.add_argument("--trials", type=int, default=d.trials,
+                        help=f"random CHSH scenarios, at most {MAX_TRIALS} (default {d.trials})")
+    parser.add_argument("--seed", type=int, default=d.seed,
+                        help=f"seed for the scenario sampler (default {d.seed})")
+    parser.add_argument("--format", choices=OUTPUT_FORMATS, default=d.output_format,
+                        help=f"report format (default {d.output_format})")
     parser.add_argument("--pair", type=pair_argument, action="append", default=[],
                         metavar="x1,y1,z1:x2,y2,z2",
                         help="extra setting pair to audit; repeatable")

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 BLADE_NAMES = ("1", "e1", "e2", "e3", "e12", "e13", "e23", "e123")
-BLADE_GRADES = (0, 1, 1, 1, 2, 2, 2, 3)
 GRADES = (0, 1, 2, 3)
 
 # Slot indices of each grade in the coefficient tuple.

@@ -1,8 +1,10 @@
+import ast
 import contextlib
 import dataclasses
 import io
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,7 +29,7 @@ from g3bell.audit import (
     run_audit,
 )
 from g3bell.measure import p_grid_size
-from g3bell.cli import main, pair_argument, angles_argument
+from g3bell.cli import angles_argument, build_parser, config_from_args, main, pair_argument
 
 from _oracle import reference_emit_json
 
@@ -53,6 +55,12 @@ def default_report():
     {"trials": 0},
     {"output_format": "yaml"},
     {"angles_deg": (0.0, 90.0)},
+    {"trials": 2.5},
+    {"trials": True},
+    {"tolerance": True},
+    {"seed": None},
+    {"seed": 1.5},
+    {"seed": "abc"},
 ])
 def test_config_rejects_invalid(kwargs):
     with pytest.raises(ValueError):
@@ -95,6 +103,26 @@ def test_version_kept_in_one_place():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with pyproject.open("rb") as fh:
         assert tomllib.load(fh)["project"]["version"] == TOOL_VERSION
+
+
+def test_cli_defaults_are_the_config_defaults():
+    assert config_from_args(build_parser().parse_args([])) == AuditConfig()
+
+
+def test_runtime_imports_only_the_stdlib():
+    src = Path(g3bell.__file__).parent
+    modules = sorted(src.glob("*.py"))
+    assert modules
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.partition(".")[0] in sys.stdlib_module_names, (path.name, name)
 
 
 # --- report content ---------------------------------------------------------------

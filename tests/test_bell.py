@@ -114,7 +114,6 @@ def test_chsh_linear_in_correlation_scale(c):
 
 def test_lhv_bruteforce_bound_is_exactly_two():
     assert lhv_bruteforce_bound() == 2.0
-    assert lhv_bruteforce_bound(DEFAULT_SCENARIO) == 2.0
 
 
 def test_all_sixteen_strategies_enumerated():
