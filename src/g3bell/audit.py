@@ -340,16 +340,13 @@ def _grade_support(pr: _AuditedPair, tol: float) -> dict:
                           for form in _FORMS}
     # The forms disagree away from orientation +1; quantify what that does
     # to the scalar-weight expectation across the grid.
-    grade0_diff = 0.0
-    raw_g2_min, raw_g2_max = math.inf, -math.inf
-    for v_id, v_raw in zip(forms["identity"][MeasureKind.SCALAR_WEIGHTS].values,
-                           forms["raw"][MeasureKind.SCALAR_WEIGHTS].values):
-        grade0_diff = max(grade0_diff, abs(v_id.coeffs[0] - v_raw.coeffs[0]))
-        g2 = v_raw.grade_norm(2)
-        raw_g2_min, raw_g2_max = min(raw_g2_min, g2), max(raw_g2_max, g2)
+    identity, raw = (forms[form][MeasureKind.SCALAR_WEIGHTS] for form in ("identity", "raw"))
+    grade0_diff = max(abs(v_id.coeffs[0] - v_raw.coeffs[0])
+                      for v_id, v_raw in zip(identity.values, raw.values))
+    raw_g2 = raw.grade_norms[2]
     entry["raw_vs_identity"] = {
         "grade0_max_diff_over_grid": grade0_diff,
-        "raw_scalar_weight_grade2_range": [raw_g2_min, raw_g2_max],
+        "raw_scalar_weight_grade2_range": [min(raw_g2), max(raw_g2)],
     }
     return entry
 
@@ -480,9 +477,8 @@ def _evaluate_claims(config, pairs, tol, degenerate, normalization, chsh_section
     for pr in pairs:
         for kind, (_, cross_grade) in _GRADES_FED.items():
             swept = pr.sweeps["identity"][kind]
-            for p, value in zip(swept.grid, swept.values):
-                target = abs(2.0 * p - 1.0) * pr.cross_norm
-                worst = max(worst, abs(value.grade_norm(cross_grade) - target))
+            for p, norm in zip(swept.grid, swept.grade_norms[cross_grade]):
+                worst = max(worst, abs(norm - abs(2.0 * p - 1.0) * pr.cross_norm))
     add("nonisotropic_leak", worst <= tol, {"max_leak_error": worst})
 
     # directed_total_trivector

@@ -57,6 +57,28 @@ def angles_argument(text: str) -> tuple[float, float, float, float]:
         raise argparse.ArgumentTypeError(f"bad angle in {text!r}: {exc}") from exc
 
 
+# The flags that take a value.  argparse reads a value that begins with "-"
+# and is not a plain number, as in "--pair -1,0,0:0,1,0", for a flag of its
+# own; main passes such a value to argparse in the "--flag=value" form.
+_VALUE_FLAGS = ("--tol", "--p-step", "--angles", "--trials", "--seed", "--format", "--pair")
+
+
+def _takes_value(arg: str) -> bool:
+    """True for a value flag, or a prefix that argparse may expand to one."""
+    return len(arg) > 2 and any(flag.startswith(arg) for flag in _VALUE_FLAGS)
+
+
+def _attach_dash_values(argv: list[str]) -> list[str]:
+    """Join each value flag to a following single-dash token with "="."""
+    out: list[str] = []
+    for arg in argv:
+        if out and _takes_value(out[-1]) and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
     d = AuditConfig()
     parser = argparse.ArgumentParser(
@@ -101,7 +123,7 @@ def config_from_args(args: argparse.Namespace) -> AuditConfig:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
     try:
         config = config_from_args(args)
     except ValueError as exc:

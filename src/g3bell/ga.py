@@ -128,9 +128,6 @@ class Multivector:
     def is_zero(self, tol: float = 0.0) -> bool:
         return all(abs(a) <= tol for a in self.coeffs)
 
-    def approx_eq(self, other: Multivector, tol: float = DEFAULT_TOLERANCE) -> bool:
-        return self.max_abs_diff(other) <= tol
-
     def __str__(self) -> str:
         terms = []
         for c, name in zip(self.coeffs, BLADE_NAMES):

@@ -18,6 +18,7 @@ from enum import Enum
 from .ga import (
     DEFAULT_TOLERANCE,
     GRADES,
+    GRADE_SLOTS,
     GradeSupport,
     I,
     ONE,
@@ -130,10 +131,16 @@ DEFAULT_P_GRID = p_grid(0.05)
 @dataclass(frozen=True)
 class Sweep:
     """One product form under one measure kind over a p-grid: the value at
-    each point, their union grade support, and the isotropic expectation."""
+    each point, the magnitude of each grade at each point, their union grade
+    support, and the isotropic expectation.
+
+    ``grade_norms[k][j]`` is ``values[j].grade_norm(k)``, bit for bit, so a
+    reader of per-point grade magnitudes need not recompute them.
+    """
 
     grid: tuple[float, ...]
     values: tuple[Multivector, ...]
+    grade_norms: tuple[tuple[float, ...], ...]
     support: GradeSupport
     isotropic: ExpectationResult
 
@@ -141,26 +148,37 @@ class Sweep:
 def sweep(product_fn: ProductForm, a: Vector3, b: Vector3, kind: MeasureKind,
           grid: tuple[float, ...] = DEFAULT_P_GRID,
           tol: float = DEFAULT_TOLERANCE) -> Sweep:
-    """The expectation at every grid point from two product evaluations.
+    """The expectation at every grid point from two product evaluations,
+    built one coefficient slot at a time across the whole grid.
 
     Each value is affine in p and made with the float operations of
-    ``expectation``, so it equals ``expectation(...).value`` bitwise.
+    ``expectation``, so it equals ``expectation(...).value`` bitwise.  A slot
+    whose two products are both zero is ``0.0 + (+-0.0)``, that is +0.0, at
+    every p, so it shares one column of zeros and is not computed.  A grade
+    norm is ``grade_norm``'s ``sqrt(sum(c ** 2))`` over the live slots of the
+    grade, in slot order: each dropped term is ``(+0.0) ** 2``, and adding
+    +0.0 to a sum of squares changes no bit.  The support peaks are the
+    maxima of those norms.
     """
     if not grid or not all(0.0 <= p <= 1.0 for p in grid):
         raise ValueError("p-grid must be non-empty with every point in [0, 1]")
     # product*1, or product*I (a signed permutation), is exact at any scale.
     unit = ONE if kind is MeasureKind.SCALAR_WEIGHTS else I
     plus, minus = (gp(product_fn(a, b, hv).scale(_SCALE), unit).coeffs for hv in ORIENTATIONS)
-    values = []
-    for p in grid:
-        q = 1.0 - p
-        values.append(Multivector(tuple(_UNSCALE * ((0.0 + t * p) + (0.0 + u * q))
-                                        for t, u in zip(plus, minus))))
-    # The union of the per-point grade audits, without building each audit.
-    peaks = tuple(max(v.grade_norm(k) for v in values) for k in GRADES)
+    weights = [(p, 1.0 - p) for p in grid]
+    zeros = (0.0,) * len(grid)
+    columns = [[_UNSCALE * ((0.0 + t * p) + (0.0 + u * q)) for p, q in weights]
+               if t != 0.0 or u != 0.0 else zeros
+               for t, u in zip(plus, minus)]
+    grade_norms = []
+    for k in GRADES:
+        squares = [[c ** 2 for c in columns[i]] for i in GRADE_SLOTS[k] if columns[i] is not zeros]
+        grade_norms.append(tuple(map(math.sqrt, map(sum, zip(*squares)))) if squares else zeros)
+    peaks = tuple(max(norms) for norms in grade_norms)
     return Sweep(
         grid=tuple(grid),
-        values=tuple(values),
+        values=tuple(map(Multivector, zip(*columns))),
+        grade_norms=tuple(grade_norms),
         support=GradeSupport(frozenset(k for k in GRADES if peaks[k] > tol), peaks),
         isotropic=expectation(product_fn, a, b, ISOTROPIC, kind, tol),
     )

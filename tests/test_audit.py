@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import g3bell
@@ -210,6 +210,25 @@ def test_non_default_angles_without_violation_is_informational():
     claim = {c["id"]: c for c in report.claims}["projection_reproduces_violation"]
     assert claim["verdict"] == INFORMATIONAL
     assert not report.all_confirmed()
+
+
+def test_grade_norm_calls_do_not_grow_with_the_grid(monkeypatch):
+    # The sweeps carry their per-point grade norms; no reader recomputes them.
+    calls = []
+    original = Multivector.grade_norm
+
+    def counted(self, k):
+        calls.append(k)
+        return original(self, k)
+
+    monkeypatch.setattr(Multivector, "grade_norm", counted)
+    pairs = (pair_argument("0.6,0,0.8:0,0.6,0.8"), pair_argument("0,0,1:0.6,0.8,0"))
+    counts = []
+    for p_step in (0.1, 0.01):
+        calls.clear()
+        run_audit(AuditConfig(p_step=p_step, extra_pairs=pairs, trials=50))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 # --- rendering -----------------------------------------------------------------------
@@ -476,21 +495,39 @@ _odd_flags = st.one_of(
 )
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 50), st.lists(_valid_flags, max_size=4), st.lists(_odd_flags, max_size=1),
-       st.booleans())
-def test_cli_exit_code_and_json_on_arbitrary_flags(trials, valid, odd, as_json):
-    # The "=" form lets a value start with "-", which argparse would take for a flag.
-    argv = [f"--trials={trials}"] + [f"{name}={value}" for name, value in valid]
-    argv += [part for flag in odd for part in flag]
-    if as_json:
-        argv += ["--format", "json"]
+def _run_cli(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
+    return code, out.getvalue()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(_valid_flags, min_size=1, max_size=3))
+@example([("--pair", "-1,0,0:0,1,0")])
+@example([("--pai", "-1,0,0:0,1,0")])  # a prefix that argparse expands
+@example([("--angles", "-45,0,45,90"), ("--pair", "0,-1,0:-0.6,0,-0.8")])
+def test_cli_space_and_equals_forms_give_identical_output(valid):
+    base = ["--trials", "20", "--p-step", "0.25", "--format", "json"]
+    spaced = base + [part for flag in valid for part in flag]
+    joined = base + [f"{name}={value}" for name, value in valid]
+    code, out = _run_cli(spaced)
+    assert code in (0, 1)
+    assert (code, out) == _run_cli(joined)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 50), st.lists(_valid_flags, max_size=4), st.lists(_odd_flags, max_size=1),
+       st.booleans())
+def test_cli_exit_code_and_json_on_arbitrary_flags(trials, valid, odd, as_json):
+    argv = [f"--trials={trials}"] + [f"{name}={value}" for name, value in valid]
+    argv += [part for flag in odd for part in flag]
+    if as_json:
+        argv += ["--format", "json"]
+    code, out = _run_cli(argv)
     assert code in (0, 1, 2, 3)
-    if as_json and out.getvalue():
-        json.loads(out.getvalue(), parse_constant=_reject_constant)
+    if as_json and out:
+        json.loads(out, parse_constant=_reject_constant)

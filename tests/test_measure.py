@@ -1,10 +1,10 @@
 import math
 
 import pytest
-from hypothesis import given, assume
+from hypothesis import example, given, assume
 from hypothesis import strategies as st
 
-from g3bell.ga import GradeSupport, I, Multivector, Vector3, ZERO, cross, dot
+from g3bell.ga import GRADES, GradeSupport, I, Multivector, Vector3, ZERO, cross, dot
 from g3bell.measure import (
     DEFAULT_P_GRID,
     MeasureKind,
@@ -244,6 +244,30 @@ def test_sweep_values_bitwise_equal_expectation(form, a, b, kind, grid):
         union = union.union(reference.support)
     assert swept.support == union
     assert swept.isotropic == expectation(form, a, b, ISOTROPIC, kind)
+
+
+# Grids of one point, and the endpoints-only grid p_grid(1.0) == (0.0, 1.0).
+edge_grids = st.sampled_from([(0.0,), (0.5,), (1.0,), p_grid(1.0)])
+
+
+@given(forms, settings, settings, kinds, st.one_of(grids(), edge_grids))
+@example(product_identity, E1V, E1V, SCALAR, p_grid(1.0))  # parallel
+@example(product_raw, E1V, E2V, DIRECTED, (0.5,))  # orthogonal
+@example(product_identity, Vector3(0.0, 0.0, 1.0), Vector3(0.0, 1.0, 5e-324), DIRECTED,
+         (0.0, 0.5, 1.0))  # subnormal component
+def test_sweep_grade_norms_bitwise_equal_grade_norm(form, a, b, kind, grid):
+    swept = sweep(form, a, b, kind, grid)
+    for k in GRADES:
+        per_point = [value.grade_norm(k).hex() for value in swept.values]
+        assert [norm.hex() for norm in swept.grade_norms[k]] == per_point
+        assert swept.support.max_magnitude[k].hex() == \
+            max(value.grade_norm(k) for value in swept.values).hex()
+    # A slot that is zero under both single-atom measures is +0.0 at every p.
+    ends = [expectation(form, a, b, OrientationDistribution(p), kind).value for p in (0.0, 1.0)]
+    for slot in range(8):
+        if all(end.coeffs[slot] == 0.0 for end in ends):
+            assert all(math.copysign(1.0, v.coeffs[slot]) == 1.0 and v.coeffs[slot] == 0.0
+                       for v in swept.values)
 
 
 @pytest.mark.parametrize("tiny", [5e-324, 2.225e-308])
