@@ -12,15 +12,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import g3bell
+from g3bell import audit
 from g3bell.ga import GradeSupport, Multivector, Vector3, ZERO
+from g3bell.model import PRODUCT_FORMS
 from g3bell.audit import (
     AuditConfig,
     CLAIM_MAP,
     CONFIRMED,
+    Claim,
     DEFAULT_PAIRS,
     INFORMATIONAL,
     MAX_GRID_POINTS,
     MAX_TRIALS,
+    REFUTED,
     TOOL_VERSION,
     emit,
     format_value,
@@ -159,7 +163,7 @@ def test_functional_range_never_attains_scalar(default_report):
 
 def test_all_claims_confirmed(default_report):
     assert default_report.all_confirmed()
-    assert [c["id"] for c in default_report.claims] == [cid for cid, _, _ in CLAIM_MAP]
+    assert [c["id"] for c in default_report.claims] == [c.id for c in CLAIM_MAP]
 
 
 def test_chsh_section(default_report):
@@ -231,6 +235,78 @@ def test_grade_norm_calls_do_not_grow_with_the_grid(monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
+def test_negated_identity_product_refutes_the_split(monkeypatch, capsys):
+    # Flipping the whole product flips -a.b, which the split claim compares;
+    # a sign flip of the bivector part alone keeps every magnitude.
+    identity = PRODUCT_FORMS["identity"]
+    monkeypatch.setitem(PRODUCT_FORMS, "identity", lambda a, b, hv: -identity(a, b, hv))
+    report = run_audit(AuditConfig(p_step=0.25, **FAST))
+    split = {c["id"]: c for c in report.claims}["observable_product_splits"]
+    assert split["verdict"] == REFUTED
+    assert main(["--trials", "60", "--p-step", "0.25"]) == 1
+    assert f"{split['statement']}: refuted\n" in capsys.readouterr().out
+
+
+def test_claim_table_drives_every_claim_reader(monkeypatch, capsys):
+    extra = Claim("extra_claim", "an extra claim that never holds", "the evaluator says no",
+                  lambda report, pairs: (False, {"pairs_seen": len(pairs)}))
+    monkeypatch.setattr(audit, "CLAIM_MAP", CLAIM_MAP + (extra,))
+    argv = ["--trials", "20", "--p-step", "0.5"]
+    assert main(argv + ["--format", "json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["claim_map"][-1] == {"id": "extra_claim", "statement": extra.statement,
+                                    "check": extra.check}
+    assert doc["claims"][-1] == {"id": "extra_claim", "statement": extra.statement,
+                                 "check": extra.check, "verdict": REFUTED,
+                                 "observed": {"pairs_seen": 3}}
+    assert [c["verdict"] for c in doc["claims"][:-1]] == [CONFIRMED] * len(CLAIM_MAP)
+    assert main(argv) == 1
+    text = capsys.readouterr().out
+    assert ("  extra_claim:\n    an extra claim that never holds\n"
+            "    check: the evaluator says no\n") in text
+    assert "\nan extra claim that never holds: refuted\n" in text
+
+
+_unit_vectors = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: math.hypot(*v) > 0.1).map(
+    lambda v: Vector3(*(c / math.hypot(*v) for c in v)))
+# Log-uniform over every positive decade a double spans, up to the unit.
+_tolerances = st.floats(-300.0, 0.0, exclude_max=True).map(lambda e: 10.0 ** e)
+_p_steps = st.sampled_from([0.1, 0.25, 0.5, 1.0])
+# |a.b| = 0.48: orthogonal within a tolerance of 0.49, whose isotropic terms,
+# |a x b|/2 = 0.44, fall below it.
+_HALF_RESOLVED = (Vector3(1.0, 0.0, 0.0), Vector3(0.48, math.sqrt(1.0 - 0.48 ** 2), 0.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(_unit_vectors, _unit_vectors), _p_steps, _tolerances, _tolerances,
+       st.integers(1, 10))
+@example((Vector3(0.6, 0.0, 0.8), Vector3(0.0, 0.6, 0.8)), 0.25, 1e-300, 1e-12, 10)
+@example(_HALF_RESOLVED, 0.1, 0.3, 0.49, 10)
+def test_confirmed_verdicts_stay_confirmed_at_larger_tolerances(pair, p_step, t1, t2, trials):
+    low, high = sorted((t1, t2))
+    before, after = (run_audit(AuditConfig(tolerance=t, p_step=p_step, trials=trials,
+                                           extra_pairs=(pair,))) for t in (low, high))
+    if after.degenerate_tolerance:
+        return
+    for old, new in zip(before.claims, after.claims):
+        if old["verdict"] == CONFIRMED:
+            assert new["verdict"] == CONFIRMED, (old["id"], low, high)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_p_steps, _tolerances)
+@example(0.25, 1e-300)
+@example(0.25, 1e-17)
+@example(0.25, 4e-16)
+@example(0.05, 1e-15)
+@example(1.0, 0.49)
+@example(0.1, 0.75)
+def test_default_pairs_confirm_every_claim_below_a_degenerate_tolerance(p_step, tol):
+    report = run_audit(AuditConfig(tolerance=tol, p_step=p_step, trials=10))
+    expected = INFORMATIONAL if report.degenerate_tolerance else CONFIRMED
+    assert [c["verdict"] for c in report.claims] == [expected] * len(CLAIM_MAP), tol
+
+
 # --- rendering -----------------------------------------------------------------------
 
 def test_format_value_annotates_tagged_zero():
@@ -248,8 +324,8 @@ def test_text_report_lines(default_report):
     assert "claim map" in text
     assert "0 [as grade-2]" in text
     assert "0 [as grade-1]" in text
-    for _, statement, _ in CLAIM_MAP:
-        assert f"{statement}: confirmed" in text
+    for c in CLAIM_MAP:
+        assert f"{c.statement}: confirmed" in text
 
 
 def test_json_report_structure(default_report):
@@ -257,7 +333,7 @@ def test_json_report_structure(default_report):
     assert doc["tool"]["name"] == "g3bell"
     assert doc["normalization"]["directed_total"]["e123"] == 1.0
     assert doc["normalization"]["directed_valid_probability_measure"] is False
-    assert {c["id"] for c in doc["claim_map"]} == {cid for cid, _, _ in CLAIM_MAP}
+    assert {c["id"] for c in doc["claim_map"]} == {c.id for c in CLAIM_MAP}
     assert doc["config"]["pairs"] == list(default_report.pair_keys)
     probe = doc["functional_range"][ORTHO_KEY]["identity"]["probe"]
     assert len(probe) == 21
@@ -465,8 +541,7 @@ def test_cli_io_failure_exits_three(monkeypatch, capsys):
 # --- the CLI on arbitrary flag values ------------------------------------------------------
 
 def _unit_vector_text():
-    vec = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: math.hypot(*v) > 0.1)
-    return vec.map(lambda v: ",".join(repr(c / math.hypot(*v)) for c in v))
+    return _unit_vectors.map(lambda v: ",".join(map(repr, v.components())))
 
 
 _ODD_NUMBERS = ["nan", "inf", "-inf", "1e400", "", "x", "1,2", "0x10"]

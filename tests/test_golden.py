@@ -7,14 +7,15 @@ misses p = 1/2, with two extra pairs: its isotropic records come from an
 evaluation off the sweep grid.  ``data/generic_pairs_report.json`` holds a
 JSON report on a 0.1-step grid with two pairs of generic unit vectors, whose
 coefficients have 16- and 17-digit reprs: it pins the rounding of such
-numbers to 15 significant digits.  Three reports pin the verdict paths
-that exit 1: ``data/degenerate_report.json`` (a tolerance of 10, every
-verdict informational), ``data/informational_report.json`` (all four CHSH
-angles 0, the projection claim informational) and
-``data/refuted_report.txt`` (a tolerance of 1e-300, below the rounding
-error of the quantum-target S, so the projection claim is refuted).  Any
-change to these reports, down to the last digit of a maximum, fails here;
-a deliberate change regenerates the files and says why.
+numbers to 15 significant digits.  Two reports pin the verdict paths that
+exit 1: ``data/degenerate_report.json`` (a tolerance of 10, every verdict
+informational) and ``data/informational_report.json`` (all four CHSH angles
+0, the projection claim informational).  ``data/tiny_tolerance_report.txt``
+(a tolerance of 1e-300, far below the rounding error of the checks that
+compare a float with its closed form) pins the 4-ulp floor under those
+checks: all ten claims stay confirmed.
+Any change to these reports, down to the last digit of a maximum, fails
+here; a deliberate change regenerates the files and says why.
 """
 
 from pathlib import Path
@@ -43,7 +44,7 @@ CASES = [
     (["--format", "json", "--angles=0,0,0,0", "--p-step", "0.25", "--trials", "50"],
      "informational_report.json", 1),
     (["--tol", "1e-300", "--p-step", "0.25", "--trials", "50",
-      "--pair", "0.6,0,0.8:0,0.6,0.8"], "refuted_report.txt", 1),
+      "--pair", "0.6,0,0.8:0,0.6,0.8"], "tiny_tolerance_report.txt", 0),
 ]
 
 
