@@ -48,7 +48,6 @@ from .measure import (
     Sweep,
     codomain_support,
     expectation,
-    functional_range_probe,
     measure_total,
     p_grid,
     p_grid_size,

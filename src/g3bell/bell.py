@@ -93,7 +93,11 @@ def _sign(x: float) -> float:
     return 1.0 if x >= 0.0 else -1.0
 
 
-def default_scalarizers(axis: Vector3 = Vector3(0.0, 0.0, 1.0)) -> tuple[Scalarizer, ...]:
+# The reference axis of the component_sign scalarizer.
+_AXIS = Vector3(0.0, 0.0, 1.0)
+
+
+def default_scalarizers() -> tuple[Scalarizer, ...]:
     """The three registered scalarizations.
 
     Qualitatively different choices, all factorizing: the grade-0 projection
@@ -108,7 +112,7 @@ def default_scalarizers(axis: Vector3 = Vector3(0.0, 0.0, 1.0)) -> tuple[Scalari
         return float(hv.orientation)
 
     def component_sign(a: Vector3, hv: HiddenVariable) -> float:
-        return float(hv.orientation) * _sign(dot(a, axis))
+        return float(hv.orientation) * _sign(dot(a, _AXIS))
 
     return (
         make_scalarizer("grade0_projection", grade0_projection),
@@ -186,8 +190,8 @@ def random_unit_vector(rng: random.Random) -> Vector3:
             return Vector3(x / n, y / n, z / n)
 
 
-def scalarizer_maxima(scalarizers: Sequence[Scalarizer], trials: int = 10000,
-                      seed: int = 42) -> tuple[float, ...]:
+def scalarizer_maxima(scalarizers: Sequence[Scalarizer], trials: int,
+                      seed: int) -> tuple[float, ...]:
     """Max |S| per scalarizer over one seeded stream of random scenarios and
     distribution weights, shared by every scalarizer.
 
@@ -203,19 +207,15 @@ def scalarizer_maxima(scalarizers: Sequence[Scalarizer], trials: int = 10000,
     fns = [s.fn for s in scalarizers]
     worst = [0.0] * len(fns)
     for _ in range(trials):
-        sc = ChshScenario(
-            random_unit_vector(rng),
-            random_unit_vector(rng),
-            random_unit_vector(rng),
-            random_unit_vector(rng),
-        )
-        dist = OrientationDistribution(rng.random())
-        wp, wm = dist.p_plus, dist.p_minus
+        # Drawn unit and in [0, 1), in ChshScenario's order, so left unchecked.
+        a, a2, b, b2 = [random_unit_vector(rng) for _ in range(4)]
+        wp = rng.random()
+        wm = 1.0 - wp
         for k, fn in enumerate(fns):
-            ap, am = fn(sc.a, plus), fn(sc.a, minus)
-            a2p, a2m = fn(sc.a_prime, plus), fn(sc.a_prime, minus)
-            bp, bm = fn(sc.b, plus), fn(sc.b, minus)
-            b2p, b2m = fn(sc.b_prime, plus), fn(sc.b_prime, minus)
+            ap, am = fn(a, plus), fn(a, minus)
+            a2p, a2m = fn(a2, plus), fn(a2, minus)
+            bp, bm = fn(b, plus), fn(b, minus)
+            b2p, b2m = fn(b2, plus), fn(b2, minus)
             value = abs(
                 (0.0 + wp * ap * bp + wm * am * bm)
                 - (0.0 + wp * ap * b2p + wm * am * b2m)
@@ -227,7 +227,7 @@ def scalarizer_maxima(scalarizers: Sequence[Scalarizer], trials: int = 10000,
     return tuple(worst)
 
 
-def scalarizer_audit(s: Scalarizer, trials: int = 10000, seed: int = 42) -> float:
+def scalarizer_audit(s: Scalarizer, trials: int, seed: int) -> float:
     """Max |S| for the scalarized correlation over seeded random scenarios
     and random distribution weights."""
     return scalarizer_maxima((s,), trials, seed)[0]

@@ -98,20 +98,10 @@ class Multivector:
     def __mul__(self, other):
         if isinstance(other, Multivector):
             return gp(self, other)
-        if isinstance(other, (int, float)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return self.scale(other)
         return NotImplemented
 
     def scale(self, factor: float) -> Multivector:
         return Multivector(tuple(factor * a for a in self.coeffs))
-
-    def grade(self, k: int) -> Multivector:
-        return grade_project(self, k)
 
     def grade_norm(self, k: int) -> float:
         """Euclidean magnitude of the grade-k component."""
@@ -245,12 +235,12 @@ def grade_audit(x: Multivector, tol: float = DEFAULT_TOLERANCE) -> GradeSupport:
     return GradeSupport(present, mags)
 
 
-def ensure_unit(v: Vector3, tol: float = UNIT_TOLERANCE) -> Vector3:
-    """Validate that v is a unit vector within tol; returns v unchanged.
+def ensure_unit(v: Vector3) -> Vector3:
+    """Validate that v is a unit vector within UNIT_TOLERANCE; returns v unchanged.
 
     Written so that a NaN norm fails the check instead of slipping past it.
     """
     n = v.norm()
-    if not (abs(n - 1.0) <= tol):
+    if not (abs(n - 1.0) <= UNIT_TOLERANCE):
         raise NonUnitVectorError(f"expected a unit vector, got norm {n!r}")
     return v

@@ -59,8 +59,7 @@ def measure_total(dist: OrientationDistribution, kind: MeasureKind) -> Multivect
     return total
 
 
-def is_valid_probability_measure(total: Multivector,
-                                 tol: float = DEFAULT_TOLERANCE) -> bool:
+def is_valid_probability_measure(total: Multivector, tol: float) -> bool:
     """True iff the measure total is the scalar 1 within tolerance."""
     return total.max_abs_diff(Multivector.scalar(1.0)) <= tol
 
@@ -106,7 +105,7 @@ def expectation(product_fn: ProductForm, a: Vector3, b: Vector3,
     )
 
 
-def p_grid_size(step: float = 0.05) -> int:
+def p_grid_size(step: float) -> int:
     """len(p_grid(step)), computed without building the grid."""
     if not 0.0 < step <= 1.0:
         raise ValueError(f"p-grid step must lie in (0, 1], got {step!r}")
@@ -120,7 +119,7 @@ def p_grid_size(step: float = 0.05) -> int:
     return last + 1 + (last * step < 1.0 - 1e-12)
 
 
-def p_grid(step: float = 0.05) -> tuple[float, ...]:
+def p_grid(step: float) -> tuple[float, ...]:
     """Distribution family grid: p = 0, step, 2*step, ... ending at exactly 1."""
     return tuple(i * step for i in range(p_grid_size(step) - 1)) + (1.0,)
 
@@ -194,11 +193,3 @@ def codomain_support(product_fn: ProductForm, a: Vector3, b: Vector3,
     """
     return sweep(product_fn, a, b, kind, grid, tol).support
 
-
-def functional_range_probe(product_fn: ProductForm, a: Vector3, b: Vector3,
-                           kind: MeasureKind,
-                           grid: tuple[float, ...] = DEFAULT_P_GRID,
-                           ) -> list[tuple[float, Multivector]]:
-    """Raw sweep data: (p, expectation value) at every grid point."""
-    result = sweep(product_fn, a, b, kind, grid)
-    return list(zip(result.grid, result.values))

@@ -60,10 +60,6 @@ class OrientationDistribution:
     def p_minus(self) -> float:
         return 1.0 - self.p_plus
 
-    @property
-    def is_isotropic(self) -> bool:
-        return self.p_plus == 0.5
-
     def weight(self, hv: HiddenVariable) -> float:
         return self.p_plus if hv.orientation == +1 else self.p_minus
 

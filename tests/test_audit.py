@@ -8,12 +8,12 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import g3bell
 from g3bell import audit
-from g3bell.ga import GradeSupport, Multivector, Vector3, ZERO
+from g3bell.ga import GradeSupport, Multivector, Vector3, ZERO, cross, dot
 from g3bell.model import PRODUCT_FORMS
 from g3bell.audit import (
     AuditConfig,
@@ -301,10 +301,46 @@ def test_confirmed_verdicts_stay_confirmed_at_larger_tolerances(pair, p_step, t1
 @example(0.05, 1e-15)
 @example(1.0, 0.49)
 @example(0.1, 0.75)
+@example(0.25, math.nextafter(0.5, 0))  # |a x b| = 1 of (e1, e2) is one ulp above 2*tol
 def test_default_pairs_confirm_every_claim_below_a_degenerate_tolerance(p_step, tol):
     report = run_audit(AuditConfig(tolerance=tol, p_step=p_step, trials=10))
     expected = INFORMATIONAL if report.degenerate_tolerance else CONFIRMED
     assert [c["verdict"] for c in report.claims] == [expected] * len(CLAIM_MAP), tol
+
+
+# A tolerance one ulp below |a x b|, and one whose double meets |a x b|: the
+# closed-form magnitude and the grade norm of the product round apart.
+@pytest.mark.parametrize("argv", [
+    ["--tol", "0.4101510815825138", "--p-step", "0.25", "--trials", "5", "--pair",
+     "0.83818580697262,0.4725867084100706,-0.272224826244398"
+     ":-0.9392627860498142,-0.07047280757587214,0.3358854002994402"],
+    ["--tol", "0.4808641682080958", "--p-step", "0.25", "--trials", "5", "--pair",
+     "0.7435026563468654,-0.6657342458178159,0.06325910172092847"
+     ":0.4328430657640179,0.8740066763480466,-0.22081487748575032"],
+], ids=["tol_at_cross_norm", "twice_tol_at_cross_norm"])
+def test_tolerance_at_a_closed_form_magnitude_confirms_every_claim(argv, capsys):
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.endswith(": confirmed")] == \
+        [f"{c.statement}: confirmed" for c in CLAIM_MAP]
+
+
+def _ulps_away(x: float, n: int) -> float:
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.inf if n > 0 else 0.0)
+    return x
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(_unit_vectors, _unit_vectors), st.sampled_from(["dot", "cross", "half_cross"]),
+       st.integers(-3, 3), st.integers(1, 10))
+def test_no_claim_refuted_within_ulps_of_a_closed_form_magnitude(pair, magnitude, n, trials):
+    a, b = pair
+    at = {"dot": abs(dot(a, b)), "cross": cross(a, b).norm(), "half_cross": cross(a, b).norm() / 2}
+    tol = _ulps_away(at[magnitude], n)
+    assume(0.0 < tol < 0.5)
+    report = run_audit(AuditConfig(tolerance=tol, p_step=0.25, trials=trials, extra_pairs=(pair,)))
+    assert [c["id"] for c in report.claims if c["verdict"] == REFUTED] == [], (tol, magnitude, n)
 
 
 # --- rendering -----------------------------------------------------------------------

@@ -10,7 +10,6 @@ from g3bell.measure import (
     MeasureKind,
     codomain_support,
     expectation,
-    functional_range_probe,
     measure_total,
     p_grid,
     p_grid_size,
@@ -177,23 +176,26 @@ def test_codomain_support_rejects_empty_grid():
 # --- functional range probe ---------------------------------------------------------
 
 def test_probe_isotropic_orthogonal_is_zero():
-    assert functional_range_probe(product_identity, E1V, E2V, DIRECTED, (0.5,)) == [(0.5, ZERO)]
+    s = sweep(product_identity, E1V, E2V, DIRECTED, (0.5,))
+    assert list(zip(s.grid, s.values)) == [(0.5, ZERO)]
 
 
 def test_probe_single_atom_orthogonal():
-    [(p, value)] = functional_range_probe(product_identity, E1V, E2V, DIRECTED, (1.0,))
+    s = sweep(product_identity, E1V, E2V, DIRECTED, (1.0,))
+    [(p, value)] = zip(s.grid, s.values)
     assert p == 1.0
     assert value == Multivector.blade(3, 1.0)
 
 
 def test_probe_isotropic_generic_is_pure_trivector():
-    [(_, value)] = functional_range_probe(product_identity, E1V, GENERIC, DIRECTED, (0.5,))
+    s = sweep(product_identity, E1V, GENERIC, DIRECTED, (0.5,))
+    [(_, value)] = zip(s.grid, s.values)
     assert value.max_abs_diff(Multivector.blade(7, -S2)) <= TOL
 
 
 def test_probe_rejects_empty_grid():
     with pytest.raises(ValueError):
-        functional_range_probe(product_identity, E1V, E2V, DIRECTED, ())
+        sweep(product_identity, E1V, E2V, DIRECTED, ())
 
 
 @pytest.mark.parametrize("grid", [(), (0.5, 1.5), (-0.1,), (math.nan,)])

@@ -18,7 +18,6 @@ from g3bell.ga import (
     grade_project,
 )
 from g3bell.model import (
-    ISOTROPIC,
     ORIENTATIONS,
     HiddenVariable,
     OrientationDistribution,
@@ -68,8 +67,6 @@ def test_distribution_weights():
     assert dist.p_minus == 0.7
     assert dist.weight(PLUS) == 0.3
     assert dist.weight(MINUS) == 0.7
-    assert not dist.is_isotropic
-    assert ISOTROPIC.is_isotropic
 
 
 @pytest.mark.parametrize("bad", [-0.1, 1.1, 2.0])
