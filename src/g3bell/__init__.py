@@ -56,9 +56,7 @@ from .measure import (
 from .bell import (
     DEFAULT_ANGLES_DEG,
     ChshScenario,
-    DeterministicStrategy,
     Scalarizer,
-    all_strategies,
     chsh,
     default_scalarizers,
     lhv_bruteforce_bound,

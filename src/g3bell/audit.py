@@ -22,6 +22,7 @@ from .ga import (
     Vector3,
     cross,
     dot,
+    ensure_unit,
     grade_audit,
     grade_project,
 )
@@ -74,6 +75,10 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
 @dataclass(frozen=True)
 class AuditConfig:
     tolerance: float = DEFAULT_TOLERANCE
@@ -85,13 +90,14 @@ class AuditConfig:
     extra_pairs: tuple[tuple[Vector3, Vector3], ...] = ()
 
     def __post_init__(self):
-        if not (isinstance(self.tolerance, (int, float)) and not isinstance(self.tolerance, bool)
-                and math.isfinite(self.tolerance) and self.tolerance > 0.0):
+        if not (_is_real(self.tolerance) and self.tolerance > 0.0):
             raise ValueError(f"tolerance must be a positive real, got {self.tolerance!r}")
+        if not _is_real(self.p_step):
+            raise ValueError(f"p-step must be a finite real, got {self.p_step!r}")
         if p_grid_size(self.p_step) > MAX_GRID_POINTS:
             raise ValueError(f"p-step {self.p_step!r} gives more than "
                              f"{MAX_GRID_POINTS} grid points")
-        if len(self.angles_deg) != 4 or not all(math.isfinite(x) for x in self.angles_deg):
+        if len(self.angles_deg) != 4 or not all(_is_real(x) for x in self.angles_deg):
             raise ValueError(f"angles must be four finite degrees, got {self.angles_deg!r}")
         if not (_is_int(self.trials) and 1 <= self.trials <= MAX_TRIALS):
             raise ValueError(f"trials must be an integer in [1, {MAX_TRIALS}], got {self.trials!r}")
@@ -99,6 +105,12 @@ class AuditConfig:
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.output_format not in OUTPUT_FORMATS:
             raise ValueError(f"output format must be one of {OUTPUT_FORMATS}, got {self.output_format!r}")
+        for pair in self.extra_pairs:
+            if not (isinstance(pair, tuple) and len(pair) == 2 and all(
+                    isinstance(v, Vector3) and all(map(_is_real, v.components())) for v in pair)):
+                raise ValueError(f"an extra pair must be two real Vector3s, got {pair!r}")
+            for v in pair:
+                ensure_unit(v)
 
 
 @dataclass(frozen=True)
@@ -145,7 +157,8 @@ class AuditReport:
 
 
 def _fmt_comp(c: float) -> str:
-    return f"{c:.9g}"
+    # + 0.0 turns -0.0 into 0.0, so a pair written with -0 keeps the label of 0.
+    return f"{c + 0.0:.9g}"
 
 
 def pair_key(a: Vector3, b: Vector3) -> str:

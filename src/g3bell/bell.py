@@ -139,39 +139,11 @@ def chsh(corr: CorrelationFn, sc: ChshScenario) -> float:
     )
 
 
-@dataclass(frozen=True)
-class DeterministicStrategy:
-    """One local deterministic assignment: a sign for each setting."""
-
-    a: int
-    a_prime: int
-    b: int
-    b_prime: int
-
-    def __post_init__(self):
-        for s in (self.a, self.a_prime, self.b, self.b_prime):
-            if s not in (+1, -1):
-                raise ValueError(f"strategy entries must be +1 or -1, got {s!r}")
-
-    def chsh_combination(self) -> float:
-        return float(
-            self.a * self.b
-            - self.a * self.b_prime
-            + self.a_prime * self.b
-            + self.a_prime * self.b_prime
-        )
-
-
-def all_strategies() -> tuple[DeterministicStrategy, ...]:
-    return tuple(
-        DeterministicStrategy(*signs)
-        for signs in itertools.product((+1, -1), repeat=4)
-    )
-
-
 def lhv_bruteforce_bound() -> float:
-    """Max |S| over all 16 deterministic strategies; scenario-independent."""
-    return max(abs(st.chsh_combination()) for st in all_strategies())
+    """Max |S| over the 16 local deterministic strategies, each a fixed sign
+    per setting (a, a', b, b'); scenario-independent."""
+    return float(max(abs(a * b - a * b2 + a2 * b + a2 * b2)
+                     for a, a2, b, b2 in itertools.product((+1, -1), repeat=4)))
 
 
 def quantum_target(a: Vector3, b: Vector3) -> float:

@@ -78,7 +78,7 @@ class Multivector:
 
     @classmethod
     def scalar(cls, value: float) -> Multivector:
-        return cls((float(value), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+        return cls((value, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
 
     @classmethod
     def blade(cls, slot: int, value: float = 1.0) -> Multivector:

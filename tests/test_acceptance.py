@@ -25,7 +25,6 @@ from g3bell.bell import (
     quantum_target,
 )
 from g3bell.audit import AuditConfig, DEFAULT_PAIRS, emit, run_audit
-from g3bell.cli import main
 
 from _oracle import oracle_table
 

@@ -65,6 +65,15 @@ def default_report():
     {"seed": None},
     {"seed": 1.5},
     {"seed": "abc"},
+    {"p_step": True},
+    {"p_step": "0.1"},
+    {"p_step": None},
+    {"angles_deg": (True, 90.0, 45.0, 135.0)},
+    {"angles_deg": ("a", 0.0, 0.0, 0.0)},
+    {"extra_pairs": ((Vector3(2, 0, 0), Vector3(0, 1, 0)),)},
+    {"extra_pairs": ((1, 2),)},
+    {"extra_pairs": ((Vector3("a", 0, 0), Vector3(0, 1, 0)),)},
+    {"extra_pairs": ((Vector3(True, 0, 0), Vector3(0, 1, 0)),)},
 ])
 def test_config_rejects_invalid(kwargs):
     with pytest.raises(ValueError):
@@ -127,6 +136,29 @@ def test_runtime_imports_only_the_stdlib():
                 continue
             for name in names:
                 assert name.partition(".")[0] in sys.stdlib_module_names, (path.name, name)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # The package's __init__ imports are its public exports.
+    src = Path(g3bell.__file__).parent
+    paths = [p for p in sorted(src.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted(Path(__file__).parent.glob("*.py"))
+    unused = []
+    for path in paths:
+        text = path.read_text()
+        lines = text.splitlines()
+        tree = ast.parse(text, filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    unused.append((path.name, alias.lineno, name))
+    assert unused == []
 
 
 # --- report content ---------------------------------------------------------------
@@ -207,6 +239,17 @@ def test_extra_pair_appended_and_deduplicated():
     report = run_audit(config)
     assert report.pair_keys == (ORTHO_KEY, PARALLEL_KEY, GENERIC_KEY, pair_key(*extra))
     assert report.all_confirmed()
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["--pair=-0,0,1:1,0,0", "--pair", "0,0,1:1,0,0"], ("0,0,1:1,0,0",)),
+    (["--pair", "1,-0,0:0,1,0"], ()),
+])
+def test_cli_audits_each_pair_once(argv, expected):
+    code, out = _run_cli(argv + ["--trials", "20", "--p-step", "0.5", "--format", "json"])
+    assert code == 0
+    pairs = tuple(json.loads(out)["config"]["pairs"])
+    assert pairs == (ORTHO_KEY, PARALLEL_KEY, GENERIC_KEY) + expected
 
 
 def test_non_default_angles_without_violation_is_informational():

@@ -6,12 +6,10 @@ from hypothesis import given, assume
 from hypothesis import strategies as st
 
 from g3bell.ga import NonUnitVectorError, Vector3
-from g3bell.model import ORIENTATIONS, OrientationDistribution
+from g3bell.model import OrientationDistribution
 from g3bell.bell import (
     DEFAULT_ANGLES_DEG,
     ChshScenario,
-    DeterministicStrategy,
-    all_strategies,
     chsh,
     default_scalarizers,
     lhv_bruteforce_bound,
@@ -114,30 +112,6 @@ def test_chsh_linear_in_correlation_scale(c):
 
 def test_lhv_bruteforce_bound_is_exactly_two():
     assert lhv_bruteforce_bound() == 2.0
-
-
-def test_all_sixteen_strategies_enumerated():
-    strategies = all_strategies()
-    assert len(strategies) == 16
-    assert len(set(strategies)) == 16
-
-
-@pytest.mark.parametrize("signs, expected", [
-    ((+1, +1, +1, +1), 2.0),
-    ((+1, +1, +1, -1), 2.0),
-])
-def test_strategy_combination_examples(signs, expected):
-    assert abs(DeterministicStrategy(*signs).chsh_combination()) == expected
-
-
-def test_strategy_rejects_bad_sign():
-    with pytest.raises(ValueError):
-        DeterministicStrategy(1, 1, 0, 1)
-
-
-def test_every_strategy_within_bound():
-    for strategy in all_strategies():
-        assert abs(strategy.chsh_combination()) <= 2.0
 
 
 # --- quantum target --------------------------------------------------------------------

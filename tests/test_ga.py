@@ -9,9 +9,7 @@ from g3bell.ga import (
     BLADE_NAMES,
     E1,
     E2,
-    E3,
     E12,
-    E13,
     E23,
     GradeSupport,
     I,
@@ -29,7 +27,7 @@ from g3bell.ga import (
     wedge,
 )
 
-from _oracle import ORACLE_BLADES, oracle_gp, oracle_table
+from _oracle import oracle_gp, oracle_table
 
 TOL = 1e-12
 
