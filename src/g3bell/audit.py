@@ -9,7 +9,7 @@ header, so every verdict line is traceable to the check that produced it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable
@@ -97,7 +97,8 @@ class AuditConfig:
         if p_grid_size(self.p_step) > MAX_GRID_POINTS:
             raise ValueError(f"p-step {self.p_step!r} gives more than "
                              f"{MAX_GRID_POINTS} grid points")
-        if len(self.angles_deg) != 4 or not all(_is_real(x) for x in self.angles_deg):
+        if not (isinstance(self.angles_deg, (tuple, list)) and len(self.angles_deg) == 4
+                and all(_is_real(x) for x in self.angles_deg)):
             raise ValueError(f"angles must be four finite degrees, got {self.angles_deg!r}")
         if not (_is_int(self.trials) and 1 <= self.trials <= MAX_TRIALS):
             raise ValueError(f"trials must be an integer in [1, {MAX_TRIALS}], got {self.trials!r}")
@@ -105,55 +106,26 @@ class AuditConfig:
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.output_format not in OUTPUT_FORMATS:
             raise ValueError(f"output format must be one of {OUTPUT_FORMATS}, got {self.output_format!r}")
+        if not isinstance(self.extra_pairs, (tuple, list)):
+            raise ValueError(f"extra pairs must be a sequence of pairs, got {self.extra_pairs!r}")
         for pair in self.extra_pairs:
             if not (isinstance(pair, tuple) and len(pair) == 2 and all(
                     isinstance(v, Vector3) and all(map(_is_real, v.components())) for v in pair)):
                 raise ValueError(f"an extra pair must be two real Vector3s, got {pair!r}")
             for v in pair:
                 ensure_unit(v)
+        audited_pairs(self)  # two different pairs with one label raise
 
 
 @dataclass(frozen=True)
 class AuditReport:
-    config: AuditConfig
-    pair_keys: tuple[str, ...]
-    degenerate_tolerance: bool
-    identity_check: dict
-    grade_support: dict
-    normalization: dict
-    functional_range: dict
-    chsh: dict
-    claims: tuple[dict, ...]
-    notes: tuple[str, ...]
+    """The report document that ``run_audit`` builds: the JSON tree, keyed in
+    output order, which the verdicts, the text view and the JSON writer read."""
+
+    document: dict
 
     def all_confirmed(self) -> bool:
-        return all(c["verdict"] == CONFIRMED for c in self.claims)
-
-    def to_dict(self) -> dict:
-        return {
-            "tool": {"name": TOOL_NAME, "version": TOOL_VERSION},
-            "config": {
-                "tolerance": self.config.tolerance,
-                "p_step": self.config.p_step,
-                "angles_deg": list(self.config.angles_deg),
-                "trials": self.config.trials,
-                "seed": self.config.seed,
-                "output_format": self.config.output_format,
-                "pairs": list(self.pair_keys),
-            },
-            "claim_map": [
-                {"id": claim.id, "statement": claim.statement, "check": claim.check}
-                for claim in CLAIM_MAP
-            ],
-            "degenerate_tolerance": self.degenerate_tolerance,
-            "identity_check": self.identity_check,
-            "grade_support": self.grade_support,
-            "normalization": self.normalization,
-            "functional_range": self.functional_range,
-            "chsh": self.chsh,
-            "claims": list(self.claims),
-            "notes": list(self.notes),
-        }
+        return all(c["verdict"] == CONFIRMED for c in self.document["claims"])
 
 
 def _fmt_comp(c: float) -> str:
@@ -190,16 +162,16 @@ def format_value(mv: Multivector, family_support: GradeSupport, tol: float) -> s
 
 
 def audited_pairs(config: AuditConfig) -> list[tuple[str, Vector3, Vector3]]:
-    """Default pairs plus configured ones, deduplicated by label."""
-    out: list[tuple[str, Vector3, Vector3]] = []
-    seen: set[str] = set()
+    """Default pairs plus configured ones, each pair once.  Two different
+    pairs with one label raise ``ValueError``: the report could not tell
+    them apart."""
+    labelled: dict[str, tuple[Vector3, Vector3]] = {}
     for a, b in DEFAULT_PAIRS + tuple(config.extra_pairs):
         key = pair_key(a, b)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append((key, a, b))
-    return out
+        if labelled.setdefault(key, (a, b)) != (a, b):
+            raise ValueError(f"two different pairs have the label {key}: "
+                             f"{labelled[key]!r} and {(a, b)!r}")
+    return [(key, a, b) for key, (a, b) in labelled.items()]
 
 
 @dataclass(frozen=True)
@@ -258,27 +230,37 @@ def run_audit(config: AuditConfig) -> AuditReport:
         notes.insert(0, f"tolerance {tol:g} swallows {swallowed} and every verdict is "
                         "informational")
 
-    report = AuditReport(
-        config=config,
-        pair_keys=tuple(pr.key for pr in pairs),
-        degenerate_tolerance=degenerate,
-        identity_check={pr.key: _identity_check(pr, tol) for pr in pairs},
-        grade_support={pr.key: _grade_support(pr, tol) for pr in pairs},
-        normalization=_normalization_section(grid, tol),
-        functional_range={pr.key: _functional_range(pr) for pr in pairs},
-        chsh=_chsh_section(config),
-        claims=(),
-        notes=tuple(notes),
-    )
+    doc = {
+        "tool": {"name": TOOL_NAME, "version": TOOL_VERSION},
+        "config": {
+            "tolerance": tol,
+            "p_step": config.p_step,
+            "angles_deg": list(config.angles_deg),
+            "trials": config.trials,
+            "seed": config.seed,
+            "output_format": config.output_format,
+            "pairs": [pr.key for pr in pairs],
+        },
+        "claim_map": [{"id": claim.id, "statement": claim.statement, "check": claim.check}
+                      for claim in CLAIM_MAP],
+        "degenerate_tolerance": degenerate,
+        "identity_check": {pr.key: _identity_check(pr, tol) for pr in pairs},
+        "grade_support": {pr.key: _grade_support(pr, tol) for pr in pairs},
+        "normalization": _normalization_section(grid, tol),
+        "functional_range": {pr.key: _functional_range(pr) for pr in pairs},
+        "chsh": _chsh_section(config),
+    }
     claims = []
     for claim in CLAIM_MAP:
-        ok, observed = claim.evaluate(report, pairs)
+        ok, observed = claim.evaluate(doc, pairs)
         if degenerate:
             ok, observed = None, {**observed, "reason": "degenerate tolerance"}
         verdict = INFORMATIONAL if ok is None else CONFIRMED if ok else REFUTED
         claims.append({"id": claim.id, "statement": claim.statement, "check": claim.check,
                        "verdict": verdict, "observed": observed})
-    return replace(report, claims=tuple(claims))
+    doc["claims"] = claims
+    doc["notes"] = notes
+    return AuditReport(doc)
 
 
 def _close(error: float, scale: float, tol: float) -> bool:
@@ -411,7 +393,7 @@ def _chsh_section(config: AuditConfig) -> dict:
 @dataclass(frozen=True)
 class Claim:
     """One audited claim; ``statement`` doubles as its text verdict line.
-    ``evaluate(report, pairs)`` reads the built report sections and the
+    ``evaluate(doc, pairs)`` reads the report document's sections and the
     audited pairs, and returns ``(ok, observed)``: ``ok is None`` means
     informational.  Most claims below decorate their evaluator with
     ``partial(Claim, id, statement, check)``."""
@@ -419,25 +401,25 @@ class Claim:
     id: str
     statement: str
     check: str
-    evaluate: Callable[[AuditReport, list[_AuditedPair]], tuple[bool | None, dict]]
+    evaluate: Callable[[dict, list[_AuditedPair]], tuple[bool | None, dict]]
 
 
 @partial(Claim, "observable_product_splits",
          "the observable product splits into a scalar part -a.b and a bivector part of magnitude |a x b|",
          "both product forms, every audited pair, both orientations: grade-0 equals "
          "-dot(a,b), grade-2 magnitude equals |cross(a,b)|, grades 1 and 3 vanish")
-def _observable_product_splits(report, pairs):
+def _observable_product_splits(doc, pairs):
     grade13 = max(mv.grade_norm(g) for pr in pairs for mv in pr.every_product() for g in (1, 3))
     ok = all(c["scalar_parts_match_minus_dot"] and c["bivector_magnitudes_match_cross_norm"]
-             for c in report.identity_check.values())
-    return ok and grade13 <= report.config.tolerance, {"max_offgrade_magnitude": grade13}
+             for c in doc["identity_check"].values())
+    return ok and grade13 <= doc["config"]["tolerance"], {"max_offgrade_magnitude": grade13}
 
 
-def _codomain(kind: MeasureKind, report, pairs):
-    tol = report.config.tolerance
+def _codomain(kind: MeasureKind, doc, pairs):
+    tol = doc["config"]["tolerance"]
     supports = {}
     for pr in pairs:
-        observed = list(report.grade_support[pr.key]["identity"][kind.value]["present"])
+        observed = list(doc["grade_support"][pr.key]["identity"][kind.value]["present"])
         # Each part of the product reaches its grade unless it vanishes here.
         parts = (abs(pr.dot), pr.cross_norm)
         expected = sorted(g for g, part in zip(_GRADES_FED[kind], parts)
@@ -462,8 +444,8 @@ _directed_codomain = Claim(
          "the isotropic average at orthogonal settings is the zero element of a non-scalar subspace",
          "for orthogonal pairs the isotropic identity-form expectation is zero while its "
          "contributing terms occupy grade 2 (scalar weights) and grade 1 (directed)")
-def _orthogonal_zero_graded(report, pairs):
-    tol = report.config.tolerance
+def _orthogonal_zero_graded(doc, pairs):
+    tol = doc["config"]["tolerance"]
     cases = {}
     ok = True
     for pr in pairs:
@@ -487,22 +469,22 @@ def _orthogonal_zero_graded(report, pairs):
          "non-isotropic distributions leak a non-scalar component of magnitude |2p-1|*|a x b|",
          "identity form, every pair and grid point: the grade-2 leak (scalar weights) and "
          "grade-1 leak (directed) match |2p-1|*|cross(a,b)| within tolerance")
-def _nonisotropic_leak(report, pairs):
+def _nonisotropic_leak(doc, pairs):
     worst = 0.0
     for pr in pairs:
         for kind, (_, cross_grade) in _GRADES_FED.items():
             swept = pr.sweeps["identity"][kind]
             for p, norm in zip(swept.grid, swept.grade_norms[cross_grade]):
                 worst = max(worst, abs(norm - abs(2.0 * p - 1.0) * pr.cross_norm))
-    return _close(worst, 1.0, report.config.tolerance), {"max_leak_error": worst}
+    return _close(worst, 1.0, doc["config"]["tolerance"]), {"max_leak_error": worst}
 
 
 @partial(Claim, "directed_total_trivector",
          "directed measure normalizes to trivector",
          "the directed total equals e123 for every p on the grid, so the valid-probability "
          "flag is false; scalar weights total exactly 1 with the flag true")
-def _directed_total_trivector(report, pairs):
-    n = report.normalization
+def _directed_total_trivector(doc, pairs):
+    n = doc["normalization"]
     ok = (n["directed_total_is_unit_trivector"]
           and not n["directed_valid_probability_measure"]
           and n["scalar_valid_probability_measure"]
@@ -515,17 +497,17 @@ def _directed_total_trivector(report, pairs):
          "the directed-measure functional attains no nonzero scalar value",
          "both forms, every pair and grid point: the grade-0 component of the directed "
          "expectation stays within tolerance of zero")
-def _directed_scalar_range_empty(report, pairs):
+def _directed_scalar_range_empty(doc, pairs):
     worst = max(entry[form]["max_abs_scalar_component"]
-                for entry in report.functional_range.values() for form in _FORMS)
-    return worst <= report.config.tolerance, {"max_abs_scalar_component": worst}
+                for entry in doc["functional_range"].values() for form in _FORMS)
+    return worst <= doc["config"]["tolerance"], {"max_abs_scalar_component": worst}
 
 
 @partial(Claim, "lhv_bound_two",
          "deterministic strategies bound the CHSH combination by 2",
          "exhaustive enumeration of the 16 sign strategies returns exactly 2")
-def _lhv_bound_two(report, pairs):
-    bound = report.chsh["lhv_bruteforce_bound"]
+def _lhv_bound_two(doc, pairs):
+    bound = doc["chsh"]["lhv_bruteforce_bound"]
     return bound == 2.0, {"bound": bound}
 
 
@@ -533,9 +515,9 @@ def _lhv_bound_two(report, pairs):
          "every registered scalarization keeps CHSH within the classical bound",
          "seeded random scenarios and weights: max |S| <= 2 + tolerance for each "
          "registered scalarizer")
-def _scalarized_chsh_classical(report, pairs):
-    maxima = report.chsh["scalarizer_maxima"]
-    return (all(v <= 2.0 + report.config.tolerance for v in maxima.values()),
+def _scalarized_chsh_classical(doc, pairs):
+    maxima = doc["chsh"]["scalarizer_maxima"]
+    return (all(v <= 2.0 + doc["config"]["tolerance"] for v in maxima.values()),
             {"maxima": dict(maxima)})
 
 
@@ -543,16 +525,16 @@ def _scalarized_chsh_classical(report, pairs):
          "the grade-0 projection alone reproduces the quantum-style CHSH violation while the unprojected expectation is not scalar-valued",
          "chsh of -a.b at the configured settings exceeds 2 in magnitude (and equals "
          "-2*sqrt(2) at the default settings) while the sweeps above show non-scalar grades")
-def _projection_reproduces_violation(report, pairs):
-    s_value = report.chsh["quantum_target_s"]
+def _projection_reproduces_violation(doc, pairs):
+    s_value = doc["chsh"]["quantum_target_s"]
     grades = sorted({grade for pr in pairs for kind in _KINDS
                      for grade in pr.sweeps["identity"][kind].support.present})
     observed = {"s": s_value, "abs_s": abs(s_value), "non_scalar_grades": grades}
     if abs(s_value) <= 2.0:
         return None, {**observed, "reason": "configured settings do not probe the violation"}
     ok = any(grade != 0 for grade in grades)
-    if tuple(report.config.angles_deg) == DEFAULT_ANGLES_DEG:
-        ok = ok and _close(abs(s_value + 2.0 * math.sqrt(2.0)), s_value, report.config.tolerance)
+    if tuple(doc["config"]["angles_deg"]) == DEFAULT_ANGLES_DEG:
+        ok = ok and _close(abs(s_value + 2.0 * math.sqrt(2.0)), s_value, doc["config"]["tolerance"])
     return ok, observed
 
 
@@ -647,11 +629,12 @@ def _json_document(tree) -> str:
 
 def emit(report: AuditReport, output_format: str | None = None) -> str:
     """Render the report as a text or json document (no trailing I/O)."""
-    fmt = output_format or report.config.output_format
+    doc = report.document
+    fmt = output_format or doc["config"]["output_format"]
     if fmt == "json":
-        return _json_document(report.to_dict())
+        return _json_document(doc)
     if fmt == "text":
-        return _render_text(report)
+        return _render_text(doc)
     raise ValueError(f"unknown output format {fmt!r}")
 
 
@@ -663,17 +646,17 @@ def _mv_str(d: dict) -> str:
     return str(Multivector(tuple(d[k] for k in _MV_KEYS)))
 
 
-def _render_text(report: AuditReport) -> str:
-    cfg = report.config
+def _render_text(doc: dict) -> str:
+    cfg = doc["config"]
     lines: list[str] = []
     push = lines.append
 
     push(f"{TOOL_NAME} audit report (v{TOOL_VERSION})")
     push("=" * 72)
-    push(f"config: tolerance={cfg.tolerance:g} | p-step={cfg.p_step:g} | "
-         f"angles={'/'.join(_num(x) for x in cfg.angles_deg)} deg | "
-         f"trials={cfg.trials} | seed={cfg.seed}")
-    push(f"audited pairs: {', '.join(report.pair_keys)}")
+    push(f"config: tolerance={cfg['tolerance']:g} | p-step={cfg['p_step']:g} | "
+         f"angles={'/'.join(_num(x) for x in cfg['angles_deg'])} deg | "
+         f"trials={cfg['trials']} | seed={cfg['seed']}")
+    push(f"audited pairs: {', '.join(cfg['pairs'])}")
     push("")
     push("claim map (id: statement | check)")
     push("-" * 72)
@@ -685,8 +668,7 @@ def _render_text(report: AuditReport) -> str:
 
     push("identity check (quoted product identity vs literal observable product)")
     push("-" * 72)
-    for key in report.pair_keys:
-        info = report.identity_check[key]
+    for key, info in doc["identity_check"].items():
         push(f"pair {key}  (a.b = {_num(info['dot'])}, |a x b| = {_num(info['cross_norm'])})")
         for label, tag in (("orientation_plus", "+1"), ("orientation_minus", "-1")):
             row = info[label]
@@ -700,8 +682,7 @@ def _render_text(report: AuditReport) -> str:
 
     push("grade support (family sweep over the p-grid)")
     push("-" * 72)
-    for key in report.pair_keys:
-        entry = report.grade_support[key]
+    for key, entry in doc["grade_support"].items():
         push(f"pair {key}")
         for form in _FORMS:
             for kind in _KINDS:
@@ -715,7 +696,7 @@ def _render_text(report: AuditReport) -> str:
 
     push("normalization")
     push("-" * 72)
-    n = report.normalization
+    n = doc["normalization"]
     push(f"scalar weights total: {_mv_str(n['scalar_total'])} | "
          f"valid probability measure: {_yn(n['scalar_valid_probability_measure'])}")
     push(f"directed trivector total: {_mv_str(n['directed_total'])} | "
@@ -725,8 +706,7 @@ def _render_text(report: AuditReport) -> str:
 
     push("functional range under the directed measure")
     push("-" * 72)
-    for key in report.pair_keys:
-        entry = report.functional_range[key]
+    for key, entry in doc["functional_range"].items():
         push(f"pair {key}: max |scalar component| = "
              f"{_num(entry['identity']['max_abs_scalar_component'])} (identity), "
              f"{_num(entry['raw']['max_abs_scalar_component'])} (raw) | "
@@ -735,7 +715,7 @@ def _render_text(report: AuditReport) -> str:
 
     push("chsh")
     push("-" * 72)
-    c = report.chsh
+    c = doc["chsh"]
     push(f"scenario angles: {'/'.join(_num(x) for x in c['angles_deg'])} deg (e1-e2 plane)")
     push(f"lhv brute-force bound: {_num(c['lhv_bruteforce_bound'])}")
     push(f"scalarizer maxima over {c['trials']} trials (seed {c['seed']}):")
@@ -747,13 +727,13 @@ def _render_text(report: AuditReport) -> str:
 
     push("verdicts")
     push("-" * 72)
-    for claim in report.claims:
+    for claim in doc["claims"]:
         push(f"{claim['statement']}: {claim['verdict']}")
     push("")
 
     push("notes")
     push("-" * 72)
-    for note in report.notes:
+    for note in doc["notes"]:
         push(f"- {note}")
     push("")
     return "\n".join(lines)

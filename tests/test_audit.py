@@ -74,6 +74,9 @@ def default_report():
     {"extra_pairs": ((1, 2),)},
     {"extra_pairs": ((Vector3("a", 0, 0), Vector3(0, 1, 0)),)},
     {"extra_pairs": ((Vector3(True, 0, 0), Vector3(0, 1, 0)),)},
+    {"angles_deg": 5},
+    {"extra_pairs": None},
+    {"extra_pairs": 5},
 ])
 def test_config_rejects_invalid(kwargs):
     with pytest.raises(ValueError):
@@ -164,22 +167,22 @@ def test_no_module_imports_a_name_it_never_uses():
 # --- report content ---------------------------------------------------------------
 
 def test_default_pairs_audited(default_report):
-    assert default_report.pair_keys == (ORTHO_KEY, PARALLEL_KEY, GENERIC_KEY)
+    assert default_report.document["config"]["pairs"] == [ORTHO_KEY, PARALLEL_KEY, GENERIC_KEY]
 
 
 def test_orthogonal_directed_support_is_vector_grade(default_report):
-    support = default_report.grade_support[ORTHO_KEY]["identity"]["directed_trivector"]
+    support = default_report.document["grade_support"][ORTHO_KEY]["identity"]["directed_trivector"]
     assert support["present"] == [1]
 
 
 def test_generic_supports(default_report):
-    entry = default_report.grade_support[GENERIC_KEY]["identity"]
+    entry = default_report.document["grade_support"][GENERIC_KEY]["identity"]
     assert entry["scalar_weights"]["present"] == [0, 2]
     assert entry["directed_trivector"]["present"] == [1, 3]
 
 
 def test_normalization_flags(default_report):
-    n = default_report.normalization
+    n = default_report.document["normalization"]
     assert n["directed_valid_probability_measure"] is False
     assert n["scalar_valid_probability_measure"] is True
     assert n["directed_total"]["e123"] == 1.0
@@ -187,19 +190,19 @@ def test_normalization_flags(default_report):
 
 
 def test_functional_range_never_attains_scalar(default_report):
-    for key in default_report.pair_keys:
-        entry = default_report.functional_range[key]
+    for key in default_report.document["config"]["pairs"]:
+        entry = default_report.document["functional_range"][key]
         assert entry["identity"]["nonzero_scalar_attained"] is False
         assert entry["raw"]["max_abs_scalar_component"] == 0.0
 
 
 def test_all_claims_confirmed(default_report):
     assert default_report.all_confirmed()
-    assert [c["id"] for c in default_report.claims] == [c.id for c in CLAIM_MAP]
+    assert [c["id"] for c in default_report.document["claims"]] == [c.id for c in CLAIM_MAP]
 
 
 def test_chsh_section(default_report):
-    c = default_report.chsh
+    c = default_report.document["chsh"]
     assert c["lhv_bruteforce_bound"] == 2.0
     assert abs(c["quantum_target_s"] + 2.0 * math.sqrt(2.0)) <= 1e-12
     assert c["quantum_target_exceeds_lhv_bound"] is True
@@ -208,28 +211,28 @@ def test_chsh_section(default_report):
 
 
 def test_isotropic_zero_annotated(default_report):
-    iso = default_report.grade_support[ORTHO_KEY]["isotropic"]["identity"]
+    iso = default_report.document["grade_support"][ORTHO_KEY]["isotropic"]["identity"]
     assert iso["scalar_weights"]["rendered"] == "0 [as grade-2]"
     assert iso["directed_trivector"]["rendered"] == "0 [as grade-1]"
 
 
 def test_endpoint_grid_gives_same_supports(default_report):
     coarse = run_audit(AuditConfig(p_step=1.0, **FAST))
-    for key in default_report.pair_keys:
+    for key in default_report.document["config"]["pairs"]:
         for form in ("identity", "raw"):
             for kind in ("scalar_weights", "directed_trivector"):
-                assert (coarse.grade_support[key][form][kind]["present"]
-                        == default_report.grade_support[key][form][kind]["present"])
+                assert (coarse.document["grade_support"][key][form][kind]["present"]
+                        == default_report.document["grade_support"][key][form][kind]["present"])
 
 
 def test_degenerate_tolerance_goes_informational():
     report = run_audit(AuditConfig(tolerance=10.0, **FAST))
-    assert report.degenerate_tolerance
-    for key in report.pair_keys:
+    assert report.document["degenerate_tolerance"]
+    for key in report.document["config"]["pairs"]:
         for form in ("identity", "raw"):
             for kind in ("scalar_weights", "directed_trivector"):
-                assert report.grade_support[key][form][kind]["present"] == []
-    assert all(c["verdict"] == INFORMATIONAL for c in report.claims)
+                assert report.document["grade_support"][key][form][kind]["present"] == []
+    assert all(c["verdict"] == INFORMATIONAL for c in report.document["claims"])
     assert not report.all_confirmed()
 
 
@@ -237,8 +240,30 @@ def test_extra_pair_appended_and_deduplicated():
     extra = (Vector3(0, 0, 1), Vector3(0, 1, 0))
     config = AuditConfig(extra_pairs=(extra, DEFAULT_PAIRS[0]), **FAST)
     report = run_audit(config)
-    assert report.pair_keys == (ORTHO_KEY, PARALLEL_KEY, GENERIC_KEY, pair_key(*extra))
+    assert report.document["config"]["pairs"] == [ORTHO_KEY, PARALLEL_KEY, GENERIC_KEY,
+                                                  pair_key(*extra)]
     assert report.all_confirmed()
+
+
+# Each pair is unit within the tolerance; its components differ from the
+# labelled pair's by about 1e-10, below the label's 9 significant digits.
+@pytest.mark.parametrize("pairs, label", [
+    (((Vector3(0.6, 0.8, 0.0), Vector3(0.0, 0.0, 1.0)),
+      (Vector3(0.6000000004, 0.7999999997, 0.0), Vector3(0.0, 0.0, 1.0))), "0.6,0.8,0:0,0,1"),
+    (((Vector3(1.0, 0.0, 0.0), Vector3(0.7071067812, 0.7071067812, 0.0)),), GENERIC_KEY),
+])
+def test_config_rejects_two_pairs_with_one_label(pairs, label):
+    with pytest.raises(ValueError, match=label):
+        AuditConfig(extra_pairs=pairs)
+
+
+def test_cli_rejects_two_pairs_with_one_label(capsys):
+    argv = ["--pair", "0.6,0.8,0:0,0,1", "--pair", "0.6000000004,0.7999999997,0:0,0,1",
+            "--format", "json"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "0.6,0.8,0:0,0,1" in captured.err
 
 
 @pytest.mark.parametrize("argv, expected", [
@@ -254,7 +279,7 @@ def test_cli_audits_each_pair_once(argv, expected):
 
 def test_non_default_angles_without_violation_is_informational():
     report = run_audit(AuditConfig(angles_deg=(0.0, 0.0, 0.0, 0.0), **FAST))
-    claim = {c["id"]: c for c in report.claims}["projection_reproduces_violation"]
+    claim = {c["id"]: c for c in report.document["claims"]}["projection_reproduces_violation"]
     assert claim["verdict"] == INFORMATIONAL
     assert not report.all_confirmed()
 
@@ -284,7 +309,7 @@ def test_negated_identity_product_refutes_the_split(monkeypatch, capsys):
     identity = PRODUCT_FORMS["identity"]
     monkeypatch.setitem(PRODUCT_FORMS, "identity", lambda a, b, hv: -identity(a, b, hv))
     report = run_audit(AuditConfig(p_step=0.25, **FAST))
-    split = {c["id"]: c for c in report.claims}["observable_product_splits"]
+    split = {c["id"]: c for c in report.document["claims"]}["observable_product_splits"]
     assert split["verdict"] == REFUTED
     assert main(["--trials", "60", "--p-step", "0.25"]) == 1
     assert f"{split['statement']}: refuted\n" in capsys.readouterr().out
@@ -329,9 +354,9 @@ def test_confirmed_verdicts_stay_confirmed_at_larger_tolerances(pair, p_step, t1
     low, high = sorted((t1, t2))
     before, after = (run_audit(AuditConfig(tolerance=t, p_step=p_step, trials=trials,
                                            extra_pairs=(pair,))) for t in (low, high))
-    if after.degenerate_tolerance:
+    if after.document["degenerate_tolerance"]:
         return
-    for old, new in zip(before.claims, after.claims):
+    for old, new in zip(before.document["claims"], after.document["claims"]):
         if old["verdict"] == CONFIRMED:
             assert new["verdict"] == CONFIRMED, (old["id"], low, high)
 
@@ -347,8 +372,8 @@ def test_confirmed_verdicts_stay_confirmed_at_larger_tolerances(pair, p_step, t1
 @example(0.25, math.nextafter(0.5, 0))  # |a x b| = 1 of (e1, e2) is one ulp above 2*tol
 def test_default_pairs_confirm_every_claim_below_a_degenerate_tolerance(p_step, tol):
     report = run_audit(AuditConfig(tolerance=tol, p_step=p_step, trials=10))
-    expected = INFORMATIONAL if report.degenerate_tolerance else CONFIRMED
-    assert [c["verdict"] for c in report.claims] == [expected] * len(CLAIM_MAP), tol
+    expected = INFORMATIONAL if report.document["degenerate_tolerance"] else CONFIRMED
+    assert [c["verdict"] for c in report.document["claims"]] == [expected] * len(CLAIM_MAP), tol
 
 
 # A tolerance one ulp below |a x b|, and one whose double meets |a x b|: the
@@ -383,7 +408,8 @@ def test_no_claim_refuted_within_ulps_of_a_closed_form_magnitude(pair, magnitude
     tol = _ulps_away(at[magnitude], n)
     assume(0.0 < tol < 0.5)
     report = run_audit(AuditConfig(tolerance=tol, p_step=0.25, trials=trials, extra_pairs=(pair,)))
-    assert [c["id"] for c in report.claims if c["verdict"] == REFUTED] == [], (tol, magnitude, n)
+    refuted = [c["id"] for c in report.document["claims"] if c["verdict"] == REFUTED]
+    assert refuted == [], (tol, magnitude, n)
 
 
 # --- rendering -----------------------------------------------------------------------
@@ -413,7 +439,7 @@ def test_json_report_structure(default_report):
     assert doc["normalization"]["directed_total"]["e123"] == 1.0
     assert doc["normalization"]["directed_valid_probability_measure"] is False
     assert {c["id"] for c in doc["claim_map"]} == {c.id for c in CLAIM_MAP}
-    assert doc["config"]["pairs"] == list(default_report.pair_keys)
+    assert doc["config"]["pairs"] == default_report.document["config"]["pairs"]
     probe = doc["functional_range"][ORTHO_KEY]["identity"]["probe"]
     assert len(probe) == 21
 
@@ -421,7 +447,7 @@ def test_json_report_structure(default_report):
 def test_json_numbers_rounded_to_15_significant_digits(default_report):
     doc = json.loads(emit(default_report, "json"))
     s = doc["chsh"]["quantum_target_s"]
-    assert s == float(f"{default_report.chsh['quantum_target_s']:.15g}")
+    assert s == float(f"{default_report.document['chsh']['quantum_target_s']:.15g}")
 
 
 def test_emit_deterministic(default_report):
@@ -502,8 +528,9 @@ def test_cli_non_finite_pair_exits_two(pair, capsys):
 
 
 def test_json_emit_refuses_nan(default_report):
-    bad = dataclasses.replace(default_report, chsh={**default_report.chsh,
-                                                    "quantum_target_s": float("nan")})
+    doc = default_report.document
+    bad = dataclasses.replace(default_report, document={
+        **doc, "chsh": {**doc["chsh"], "quantum_target_s": float("nan")}})
     with pytest.raises(ValueError):
         emit(bad, "json")
 
