@@ -115,6 +115,9 @@ class AuditConfig:
             for v in pair:
                 ensure_unit(v)
         audited_pairs(self)  # two different pairs with one label raise
+        # A list is stored as its tuple, so the config is hashable and equals its tuple twin.
+        object.__setattr__(self, "angles_deg", tuple(self.angles_deg))
+        object.__setattr__(self, "extra_pairs", tuple(self.extra_pairs))
 
 
 @dataclass(frozen=True)
@@ -153,7 +156,7 @@ def _support_dict(gs: GradeSupport) -> dict:
 def format_value(mv: Multivector, family_support: GradeSupport, tol: float) -> str:
     """Render a value, annotating an exact zero with the grade support of the
     family that produced it (a zero bivector is not a zero scalar)."""
-    if mv.is_zero(tol) and family_support.present:
+    if mv.max_abs_coeff() <= tol and family_support.present:
         grades = family_support.grades()
         if len(grades) == 1:
             return f"0 [as grade-{grades[0]}]"

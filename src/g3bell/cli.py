@@ -87,13 +87,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "grade content of its expectation functionals, normalization "
                     "of the directed measure, and CHSH bounds of its scalarizations.",
     )
-    parser.add_argument("--tol", type=float, default=d.tolerance,
+    parser.add_argument("--tol", type=float, default=d.tolerance, dest="tolerance", metavar="TOL",
                         help=f"audit tolerance (default {d.tolerance:g})")
     parser.add_argument("--p-step", type=float, default=d.p_step, dest="p_step",
                         help=f"p-grid step in (0, 1], at most {MAX_GRID_POINTS} points "
                              f"(default {d.p_step:g})")
-    parser.add_argument("--angles", type=angles_argument,
-                        default=d.angles_deg, metavar="A,A',B,B'",
+    parser.add_argument("--angles", type=angles_argument, default=d.angles_deg,
+                        dest="angles_deg", metavar="A,A',B,B'",
                         help="CHSH setting angles in degrees, e1-e2 plane "
                              f"(default {','.join(f'{x:g}' for x in d.angles_deg)})")
     parser.add_argument("--trials", type=int, default=d.trials,
@@ -101,24 +101,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=d.seed,
                         help=f"seed for the scenario sampler (default {d.seed})")
     parser.add_argument("--format", choices=OUTPUT_FORMATS, default=d.output_format,
+                        dest="output_format",
                         help=f"report format (default {d.output_format})")
     parser.add_argument("--pair", type=pair_argument, action="append", default=[],
-                        metavar="x1,y1,z1:x2,y2,z2",
+                        dest="extra_pairs", metavar="x1,y1,z1:x2,y2,z2",
                         help="extra setting pair to audit; repeatable")
     parser.add_argument("--version", action="version", version=f"%(prog)s {TOOL_VERSION}")
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> AuditConfig:
-    return AuditConfig(
-        tolerance=args.tol,
-        p_step=args.p_step,
-        angles_deg=tuple(args.angles),
-        trials=args.trials,
-        seed=args.seed,
-        output_format=args.format,
-        extra_pairs=tuple(args.pair),
-    )
+    return AuditConfig(**vars(args))
 
 
 def main(argv: list[str] | None = None) -> int:

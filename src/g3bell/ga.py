@@ -115,9 +115,6 @@ class Multivector:
     def max_abs_diff(self, other: Multivector) -> float:
         return max(abs(a - b) for a, b in zip(self.coeffs, other.coeffs))
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return all(abs(a) <= tol for a in self.coeffs)
-
     def __str__(self) -> str:
         terms = []
         for c, name in zip(self.coeffs, BLADE_NAMES):

@@ -28,8 +28,7 @@ from .ga import (
     grade_audit,
     gp,
 )
-from .model import (ISOTROPIC, ORIENTATIONS, HiddenVariable, OrientationDistribution,
-                    ProductForm)
+from .model import ISOTROPIC, ORIENTATIONS, OrientationDistribution, ProductForm
 
 # Terms are weighted at a 2**54 scale and unscaled once summed, so a subnormal
 # coefficient survives the p = 1/2 average; for normal numbers no bit changes.
@@ -42,21 +41,13 @@ class MeasureKind(Enum):
     DIRECTED_TRIVECTOR = "directed_trivector"
 
 
-def atom_weight(dist: OrientationDistribution, hv: HiddenVariable,
-                kind: MeasureKind) -> Multivector:
-    """Measure weight of one orientation atom: p(lambda)*1 or p(lambda)*I."""
-    p = dist.weight(hv)
-    if kind is MeasureKind.DIRECTED_TRIVECTOR:
-        return I.scale(p)
-    return Multivector.scalar(p)
+# The weight of one orientation atom is p(lambda) times its kind's unit.
+_UNIT = {MeasureKind.SCALAR_WEIGHTS: ONE, MeasureKind.DIRECTED_TRIVECTOR: I}
 
 
 def measure_total(dist: OrientationDistribution, kind: MeasureKind) -> Multivector:
     """Total weight of the measure: scalar 1, or the trivector I."""
-    total = ZERO
-    for hv in ORIENTATIONS:
-        total = total + atom_weight(dist, hv, kind)
-    return total
+    return _UNIT[kind].scale(dist.p_plus) + _UNIT[kind].scale(dist.p_minus)
 
 
 def is_valid_probability_measure(total: Multivector, tol: float) -> bool:
@@ -91,7 +82,7 @@ def expectation(product_fn: ProductForm, a: Vector3, b: Vector3,
     scaled = ZERO
     term_support = GradeSupport.empty()
     for hv in ORIENTATIONS:
-        term = gp(product_fn(a, b, hv).scale(_SCALE), atom_weight(dist, hv, kind))
+        term = gp(product_fn(a, b, hv).scale(_SCALE), _UNIT[kind].scale(dist.weight(hv)))
         term_support = term_support.union(grade_audit(term.scale(_UNSCALE), tol))
         scaled = scaled + term
     value = scaled.scale(_UNSCALE)
@@ -162,8 +153,8 @@ def sweep(product_fn: ProductForm, a: Vector3, b: Vector3, kind: MeasureKind,
     if not grid or not all(0.0 <= p <= 1.0 for p in grid):
         raise ValueError("p-grid must be non-empty with every point in [0, 1]")
     # product*1, or product*I (a signed permutation), is exact at any scale.
-    unit = ONE if kind is MeasureKind.SCALAR_WEIGHTS else I
-    plus, minus = (gp(product_fn(a, b, hv).scale(_SCALE), unit).coeffs for hv in ORIENTATIONS)
+    plus, minus = (gp(product_fn(a, b, hv).scale(_SCALE), _UNIT[kind]).coeffs
+                   for hv in ORIENTATIONS)
     weights = [(p, 1.0 - p) for p in grid]
     zeros = (0.0,) * len(grid)
     columns = [[_UNSCALE * ((0.0 + t * p) + (0.0 + u * q)) for p, q in weights]

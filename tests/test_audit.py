@@ -33,7 +33,8 @@ from g3bell.audit import (
     run_audit,
 )
 from g3bell.measure import p_grid_size
-from g3bell.cli import angles_argument, build_parser, config_from_args, main, pair_argument
+from g3bell.cli import (_VALUE_FLAGS, angles_argument, build_parser, config_from_args, main,
+                        main_entry, pair_argument)
 
 from _oracle import reference_emit_json
 
@@ -123,6 +124,39 @@ def test_version_kept_in_one_place():
 
 def test_cli_defaults_are_the_config_defaults():
     assert config_from_args(build_parser().parse_args([])) == AuditConfig()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("angles_deg", [0.0, 90.0, 45.0, 135.0]),
+    ("extra_pairs", [(Vector3(0.0, 0.0, 1.0), Vector3(1.0, 0.0, 0.0))]),
+])
+def test_config_stores_a_list_as_its_tuple(field, value):
+    from_list = AuditConfig(**{field: value})
+    from_tuple = AuditConfig(**{field: tuple(value)})
+    assert from_list == from_tuple
+    assert hash(from_list) == hash(from_tuple)
+
+
+def test_value_flags_are_the_parsers_value_taking_options():
+    # A value flag missing from _VALUE_FLAGS would lose the "--flag=-value" rewrite.
+    options = {option for action in build_parser()._actions if action.nargs is None
+               for option in action.option_strings}
+    assert options == set(_VALUE_FLAGS)
+
+
+def test_console_script_entry_exits_zero(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["g3bell", "--p-step", "0.5", "--trials", "2"])
+    with pytest.raises(SystemExit) as exc:
+        main_entry()
+    assert exc.value.code == 0
+    assert "verdicts" in capsys.readouterr().out
+
+
+def test_console_script_is_main_entry():
+    tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        assert tomllib.load(fh)["project"]["scripts"] == {"g3bell": "g3bell.cli:main_entry"}
 
 
 def test_runtime_imports_only_the_stdlib():

@@ -1,16 +1,20 @@
-"""The model's p-independent product identities, proved exactly.
+"""The model's product identities and its p-dependent claims, proved exactly.
 
-Each component of the settings a and b is a polynomial variable, and the
-package's own ``product_raw`` (with its ``observable``), ``product_identity``,
-``gp``, ``cross``, ``dot`` and ``wedge`` run unmodified on the polynomial
-coefficients (see ``_exact``).  Each equality below is therefore an identity
-of polynomials: it holds for every setting pair, not only for sampled ones.
+Each component of the settings a and b, and the weight p of the + orientation,
+is a polynomial variable, and the package's own ``product_raw`` (with its
+``observable``), ``product_identity``, ``measure_total``, ``gp``, ``cross``,
+``dot`` and ``wedge`` run unmodified on the polynomial coefficients (see
+``_exact``).  Each equality below is therefore an identity of polynomials: it
+holds for every setting pair and every p, not only for sampled ones.
 """
+
+from types import SimpleNamespace
 
 import pytest
 
 import g3bell.model
-from g3bell.ga import Multivector, Vector3, cross, dot, wedge
+from g3bell.ga import I, ONE, Multivector, Vector3, cross, dot, gp, wedge
+from g3bell.measure import _UNIT, MeasureKind, measure_total
 from g3bell.model import ORIENTATIONS, product_identity, product_raw
 
 from _exact import Poly
@@ -45,3 +49,54 @@ def test_bivector_magnitude_squared_is_cross_norm_squared(form, hv):
     c = form(A, B, hv).coeffs
     n = cross(A, B)
     assert c[4] * c[4] + c[5] * c[5] + c[6] * c[6] == dot(n, n)
+
+
+# --- the p-dependent claims -----------------------------------------------------------
+
+P = Poly.var("p")
+SCALAR = MeasureKind.SCALAR_WEIGHTS
+DIRECTED = MeasureKind.DIRECTED_TRIVECTOR
+
+
+def _atom_sum(form, unit):
+    # expectation's sum over the two atoms, with weights p and 1 - p times the
+    # kind's unit; expectation itself rejects a polynomial p in its range check.
+    plus, minus = (form(A, B, hv) for hv in ORIENTATIONS)
+    return gp(plus.scale(P), unit) + gp(minus.scale(1 - P), unit)
+
+
+def _closed_form(kind, s):
+    # Written without gp, so a sign flip in the kernel cannot cancel on both sides.
+    if kind is SCALAR:
+        return MINUS_DOT - wedge(A, B).scale(s)
+    return cross(A, B).as_multivector().scale(s) - I.scale(dot(A, B))
+
+
+def test_measure_totals_are_one_and_the_pseudoscalar_for_every_p():
+    dist = SimpleNamespace(p_plus=P, p_minus=1 - P)
+    assert measure_total(dist, SCALAR) == ONE
+    assert measure_total(dist, DIRECTED) == I
+
+
+# The identity form's cross term carries the factor 2p - 1, which vanishes at the
+# isotropic p = 1/2 only; the raw form's cross term does not depend on p.
+@pytest.mark.parametrize("form, s", [(product_identity, 2 * P - 1), (product_raw, 1)],
+                         ids=["identity", "raw"])
+@pytest.mark.parametrize("kind", [SCALAR, DIRECTED], ids=["scalar", "directed"])
+def test_expectation_is_its_closed_form(form, s, kind):
+    # Scalar weights: -a.b - s(a^b), grades {0, 2}.  Directed: s(a x b) - (a.b)I,
+    # grades {1, 3}, so its scalar part is identically zero.
+    assert _atom_sum(form, _UNIT[kind]) == _closed_form(kind, s)
+
+
+@pytest.mark.parametrize("kind", [SCALAR, DIRECTED], ids=["scalar", "directed"])
+def test_identity_form_leaks_the_cross_term_squared(kind):
+    slots = (4, 5, 6) if kind is SCALAR else (1, 2, 3)
+    c = _atom_sum(product_identity, _UNIT[kind]).coeffs
+    n = cross(A, B)
+    assert sum(c[i] * c[i] for i in slots) == (2 * P - 1) * (2 * P - 1) * dot(n, n)
+
+
+@pytest.mark.parametrize("form", [product_identity, product_raw], ids=["identity", "raw"])
+def test_directed_scalar_part_is_zero(form):
+    assert _atom_sum(form, I).coeffs[0] == 0
