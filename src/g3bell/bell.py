@@ -15,7 +15,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .ga import Vector3, dot, ensure_unit
 from .model import ORIENTATIONS, HiddenVariable, OrientationDistribution, observable
@@ -88,15 +88,6 @@ def make_scalarizer(name: str, fn: ScalarizerFn) -> Scalarizer:
     return Scalarizer(name, fn)
 
 
-def _sign(x: float) -> float:
-    # Ties at zero resolve to +1.
-    return 1.0 if x >= 0.0 else -1.0
-
-
-# The reference axis of the component_sign scalarizer.
-_AXIS = Vector3(0.0, 0.0, 1.0)
-
-
 def default_scalarizers() -> tuple[Scalarizer, ...]:
     """The three registered scalarizations.
 
@@ -112,7 +103,8 @@ def default_scalarizers() -> tuple[Scalarizer, ...]:
         return float(hv.orientation)
 
     def component_sign(a: Vector3, hv: HiddenVariable) -> float:
-        return float(hv.orientation) * _sign(dot(a, _AXIS))
+        # a.z is a's component along the reference axis e3; ties at zero resolve to +1.
+        return float(hv.orientation) * (1.0 if a.z >= 0.0 else -1.0)
 
     return (
         make_scalarizer("grade0_projection", grade0_projection),
@@ -153,13 +145,34 @@ def quantum_target(a: Vector3, b: Vector3) -> float:
     return -dot(a, b)
 
 
-def random_unit_vector(rng: random.Random) -> Vector3:
-    """Uniform direction via a normalized Gaussian triple."""
+def _standard_normals(rng: random.Random) -> Iterator[float]:
+    """The values of successive ``rng.gauss(0.0, 1.0)`` calls, draw for draw.
+
+    Each step is ``Random.gauss``'s Box-Muller step, its ``mu + z * sigma``
+    included.  The generator holds the pending second value as ``gauss_next``
+    does, so ``rng.random()`` may be drawn between normals.
+    """
+    uniform = rng.random
+    cos, sin, log, sqrt, tau = math.cos, math.sin, math.log, math.sqrt, math.tau
     while True:
-        x, y, z = rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)
+        x2pi = uniform() * tau
+        g2rad = sqrt(-2.0 * log(1.0 - uniform()))
+        yield 0.0 + cos(x2pi) * g2rad * 1.0
+        yield 0.0 + sin(x2pi) * g2rad * 1.0
+
+
+def _unit_vector(normal: Callable[[], float]) -> Vector3:
+    """Uniform direction via a normalized triple of standard normals."""
+    while True:
+        x, y, z = normal(), normal(), normal()
         n = math.sqrt(x * x + y * y + z * z)
         if n > 1e-6:
             return Vector3(x / n, y / n, z / n)
+
+
+def random_unit_vector(rng: random.Random) -> Vector3:
+    """Uniform direction via a normalized Gaussian triple."""
+    return _unit_vector(lambda: rng.gauss(0.0, 1.0))
 
 
 def scalarizer_maxima(scalarizers: Sequence[Scalarizer], trials: int,
@@ -175,12 +188,13 @@ def scalarizer_maxima(scalarizers: Sequence[Scalarizer], trials: int,
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
     rng = random.Random(seed)
+    normal = _standard_normals(rng).__next__
     plus, minus = ORIENTATIONS
     fns = [s.fn for s in scalarizers]
     worst = [0.0] * len(fns)
     for _ in range(trials):
         # Drawn unit and in [0, 1), in ChshScenario's order, so left unchecked.
-        a, a2, b, b2 = [random_unit_vector(rng) for _ in range(4)]
+        a, a2, b, b2 = [_unit_vector(normal) for _ in range(4)]
         wp = rng.random()
         wm = 1.0 - wp
         for k, fn in enumerate(fns):

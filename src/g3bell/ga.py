@@ -43,6 +43,12 @@ class NonUnitVectorError(ValueError):
     """A direction argument was not a unit vector within tolerance."""
 
 
+def _max_magnitude(magnitudes: list[float]) -> float:
+    # The builtin max keeps its running maximum past a NaN, since every
+    # comparison with NaN is false; returning NaN makes every `<= tol` fail.
+    return math.nan if any(map(math.isnan, magnitudes)) else max(magnitudes)
+
+
 @dataclass(frozen=True)
 class Vector3:
     """A vector of 3-D Euclidean space, components along e1, e2, e3."""
@@ -110,10 +116,12 @@ class Multivector:
         return math.sqrt(sum(self.coeffs[i] ** 2 for i in GRADE_SLOTS[k]))
 
     def max_abs_coeff(self) -> float:
-        return max(abs(a) for a in self.coeffs)
+        """Largest coefficient magnitude; NaN if any coefficient is NaN."""
+        return _max_magnitude([abs(a) for a in self.coeffs])
 
     def max_abs_diff(self, other: Multivector) -> float:
-        return max(abs(a - b) for a, b in zip(self.coeffs, other.coeffs))
+        """Largest coefficient-wise difference; NaN if any difference is NaN."""
+        return _max_magnitude([abs(a - b) for a, b in zip(self.coeffs, other.coeffs)])
 
     def __str__(self) -> str:
         terms = []

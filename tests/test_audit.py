@@ -457,6 +457,11 @@ def test_format_value_annotates_tagged_zero():
     assert format_value(ZERO, GradeSupport.empty(), 1e-12) == "0"
 
 
+def test_format_value_renders_a_nan_coefficient():
+    support = GradeSupport(frozenset({1}), (0.0, 1.0, 0.0, 0.0))
+    assert format_value(Multivector.blade(1, math.nan), support, 1e-12) == "nan*e1"
+
+
 def test_text_report_lines(default_report):
     text = emit(default_report, "text")
     assert "directed measure normalizes to trivector: confirmed" in text

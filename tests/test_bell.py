@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, assume
 from hypothesis import strategies as st
 
-from g3bell.ga import NonUnitVectorError, Vector3
-from g3bell.model import OrientationDistribution
+from g3bell.ga import NonUnitVectorError, Vector3, dot
+from g3bell.model import ORIENTATIONS, OrientationDistribution
 from g3bell.bell import (
     DEFAULT_ANGLES_DEG,
     ChshScenario,
+    _standard_normals,
     chsh,
     default_scalarizers,
     lhv_bruteforce_bound,
@@ -74,6 +75,22 @@ def test_component_sign_antipodal_correlation():
     value = scalar_correlation(COMPONENT_SIGN, E3V, Vector3(0, 0, -1),
                                OrientationDistribution(0.5))
     assert value == -1.0
+
+
+def _component_sign_by_definition(a, hv):
+    return float(hv.orientation) * (1.0 if dot(a, E3V) >= 0.0 else -1.0)
+
+
+@given(unit_vectors())
+def test_component_sign_is_the_sign_of_the_e3_component(a):
+    for hv in ORIENTATIONS:
+        assert COMPONENT_SIGN.fn(a, hv) == _component_sign_by_definition(a, hv)
+
+
+@pytest.mark.parametrize("a", [Vector3(1.0, 0.0, 0.0), Vector3(1.0, 0.0, -0.0)])
+def test_component_sign_resolves_a_zero_component_to_plus(a):
+    for hv in ORIENTATIONS:
+        assert COMPONENT_SIGN.fn(a, hv) == _component_sign_by_definition(a, hv) == hv.orientation
 
 
 @given(unit_vectors(), unit_vectors(),
@@ -200,6 +217,20 @@ def test_sampler_matches_reference_vectors_and_rng_state(seed):
     for _ in range(500):
         assert random_unit_vector(fast_rng) == reference_unit_vector(ref_rng)
     assert fast_rng.getstate() == ref_rng.getstate()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 2024, 99])
+def test_standard_normals_are_random_gauss(seed):
+    # A uniform draw follows every third normal, so it comes both while the
+    # second value of a pair is pending and after a pair is used up, as the
+    # Monte Carlo's weight does after a rejected triple and after a full trial.
+    fast, ref = random.Random(seed), random.Random(seed)
+    normal = _standard_normals(fast).__next__
+    for i in range(3000):
+        assert normal().hex() == ref.gauss(0.0, 1.0).hex()
+        if i % 3 == 0:
+            assert fast.random() == ref.random()
+    assert fast.random() == ref.random()
 
 
 class _ScriptedGauss:

@@ -175,6 +175,14 @@ def test_pseudoscalar_squares_to_minus_one():
     assert gp(I, I) == Multivector.scalar(-1.0)
 
 
+@pytest.mark.parametrize("slot", range(8))
+def test_max_abs_is_nan_when_any_coefficient_is_nan(slot):
+    x = Multivector.blade(slot, math.nan)
+    assert math.isnan(x.max_abs_coeff())
+    assert math.isnan(x.max_abs_diff(ZERO))
+    assert math.isnan(ZERO.max_abs_diff(x))
+
+
 # --- grade audit ------------------------------------------------------------
 
 def test_grade_audit_examples():

@@ -10,6 +10,7 @@ from g3bell.measure import (
     MeasureKind,
     codomain_support,
     expectation,
+    is_valid_probability_measure,
     measure_total,
     p_grid,
     p_grid_size,
@@ -107,6 +108,13 @@ def test_default_p_grid_shape():
     assert DEFAULT_P_GRID[0] == 0.0
     assert DEFAULT_P_GRID[-1] == 1.0
     assert 0.5 in DEFAULT_P_GRID
+
+
+@pytest.mark.parametrize("slot", range(8))
+def test_probability_measure_check_rejects_a_nan_coefficient(slot):
+    total = Multivector.scalar(1.0) + Multivector.blade(slot, math.nan)
+    assert is_valid_probability_measure(Multivector.scalar(1.0), TOL)
+    assert not is_valid_probability_measure(total, TOL)
 
 
 def test_p_grid_step_one_is_endpoints():
