@@ -316,8 +316,8 @@ def _grade_support(pr: _AuditedPair, tol: float) -> dict:
     # The forms disagree away from orientation +1; quantify what that does
     # to the scalar-weight expectation across the grid.
     identity, raw = (forms[form][MeasureKind.SCALAR_WEIGHTS] for form in ("identity", "raw"))
-    grade0_diff = max(abs(v_id.coeffs[0] - v_raw.coeffs[0])
-                      for v_id, v_raw in zip(identity.values, raw.values))
+    grade0_diff = max(abs(c_id - c_raw)
+                      for c_id, c_raw in zip(identity.columns[0], raw.columns[0]))
     raw_g2 = raw.grade_norms[2]
     entry["raw_vs_identity"] = {
         "grade0_max_diff_over_grid": grade0_diff,
@@ -356,14 +356,15 @@ def _functional_range(pr: _AuditedPair) -> dict:
     entry: dict = {}
     for form in _FORMS:
         swept = pr.sweeps[form][MeasureKind.DIRECTED_TRIVECTOR]
-        max_scalar = max(abs(v.coeffs[0]) for v in swept.values)
+        max_scalar = max(map(abs, swept.columns[0]))
         entry[form] = {
             "max_abs_scalar_component": max_scalar,
             "nonzero_scalar_attained": max_scalar > 0.0,
         }
     directed = pr.sweeps["identity"][MeasureKind.DIRECTED_TRIVECTOR]
     entry["identity"]["probe"] = [
-        {"p": p, "value": _mv_dict(v)} for p, v in zip(directed.grid, directed.values)
+        {"p": p, "value": dict(zip(_MV_KEYS, coeffs))}
+        for p, coeffs in zip(directed.grid, zip(*directed.columns))
     ]
     return entry
 
@@ -578,56 +579,58 @@ def _json_document(tree) -> str:
     a value of any other type than str, int, float, bool, None, dict, list or
     tuple raises ``TypeError``."""
     out: list[str] = []
-    put = out.append
-
-    # pad is a newline and the indent of obj's own line.
-    def walk(obj, pad: str) -> None:
-        if isinstance(obj, float):
-            put(_json_float(obj))
-        elif isinstance(obj, str):
-            put(_quote(obj))
-        elif isinstance(obj, dict):
-            if not obj:
-                put("{}")
-                return
-            inner = pad + "  "
-            comma = "," + inner
-            sep = "{" + inner
-            for key, value in obj.items():
-                put(f"{sep}{_quote(key)}: ")  # TypeError unless key is a str
-                # Most leaves are the floats of multivector dicts: skip a call.
-                if isinstance(value, float):
-                    put(_json_float(value))
-                else:
-                    walk(value, inner)
-                sep = comma
-            put(pad + "}")
-        elif isinstance(obj, (list, tuple)):
-            if not obj:
-                put("[]")
-                return
-            inner = pad + "  "
-            comma = "," + inner
-            sep = "[" + inner
-            for value in obj:
-                put(sep)
-                walk(value, inner)
-                sep = comma
-            put(pad + "]")
-        elif obj is None:
-            put("null")
-        elif obj is True:
-            put("true")
-        elif obj is False:
-            put("false")
-        elif isinstance(obj, int):
-            put(int.__repr__(obj))
-        else:
-            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-    walk(tree, "\n")
-    put("\n")
+    _json_walk(tree, "\n", out.append)
+    out.append("\n")
     return "".join(out)
+
+
+def _json_walk(obj, pad: str, put: Callable[[str], None]) -> None:
+    """Append the JSON pieces of ``obj`` through ``put``; ``pad`` is a newline
+    and the indent of obj's own line.  A module-level function, not a closure
+    over ``put``: a nested walker that calls itself holds a reference cycle to
+    the whole list of pieces until the garbage collector breaks it."""
+    if isinstance(obj, float):
+        put(_json_float(obj))
+    elif isinstance(obj, str):
+        put(_quote(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            put("{}")
+            return
+        inner = pad + "  "
+        comma = "," + inner
+        sep = "{" + inner
+        for key, value in obj.items():
+            put(f"{sep}{_quote(key)}: ")  # TypeError unless key is a str
+            # Most leaves are the floats of multivector dicts: skip a call.
+            if isinstance(value, float):
+                put(_json_float(value))
+            else:
+                _json_walk(value, inner, put)
+            sep = comma
+        put(pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            put("[]")
+            return
+        inner = pad + "  "
+        comma = "," + inner
+        sep = "[" + inner
+        for value in obj:
+            put(sep)
+            _json_walk(value, inner, put)
+            sep = comma
+        put(pad + "]")
+    elif obj is None:
+        put("null")
+    elif obj is True:
+        put("true")
+    elif obj is False:
+        put("false")
+    elif isinstance(obj, int):
+        put(int.__repr__(obj))
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def emit(report: AuditReport, output_format: str | None = None) -> str:

@@ -124,15 +124,23 @@ class Sweep:
     each point, the magnitude of each grade at each point, their union grade
     support, and the isotropic expectation.
 
-    ``grade_norms[k][j]`` is ``values[j].grade_norm(k)``, bit for bit, so a
-    reader of per-point grade magnitudes need not recompute them.
+    The values are stored column-major: ``columns[i][j]`` is coefficient slot
+    ``i`` of the value at ``grid[j]``, and ``values`` builds the per-point
+    ``Multivector``s from the columns on each read.  ``grade_norms[k][j]`` is
+    ``values[j].grade_norm(k)``, bit for bit, so a reader of per-point grade
+    magnitudes need not recompute them.
     """
 
     grid: tuple[float, ...]
-    values: tuple[Multivector, ...]
+    columns: tuple[tuple[float, ...], ...]
     grade_norms: tuple[tuple[float, ...], ...]
     support: GradeSupport
     isotropic: ExpectationResult
+
+    @property
+    def values(self) -> tuple[Multivector, ...]:
+        """The expectation value at each grid point."""
+        return tuple(map(Multivector, zip(*self.columns)))
 
 
 def sweep(product_fn: ProductForm, a: Vector3, b: Vector3, kind: MeasureKind,
@@ -150,14 +158,17 @@ def sweep(product_fn: ProductForm, a: Vector3, b: Vector3, kind: MeasureKind,
     +0.0 to a sum of squares changes no bit.  The support peaks are the
     maxima of those norms.
     """
-    if not grid or not all(0.0 <= p <= 1.0 for p in grid):
+    grid = tuple(grid)
+    # One pass checks the grid (a NaN fails both comparisons) and weighs it.
+    complements = [1.0 - p for p in grid if 0.0 <= p <= 1.0]
+    if not grid or len(complements) < len(grid):
         raise ValueError("p-grid must be non-empty with every point in [0, 1]")
     # product*1, or product*I (a signed permutation), is exact at any scale.
     plus, minus = (gp(product_fn(a, b, hv).scale(_SCALE), _UNIT[kind]).coeffs
                    for hv in ORIENTATIONS)
-    weights = [(p, 1.0 - p) for p in grid]
     zeros = (0.0,) * len(grid)
-    columns = [[_UNSCALE * ((0.0 + t * p) + (0.0 + u * q)) for p, q in weights]
+    columns = [tuple([_UNSCALE * ((0.0 + t * p) + (0.0 + u * q))
+                      for p, q in zip(grid, complements)])
                if t != 0.0 or u != 0.0 else zeros
                for t, u in zip(plus, minus)]
     grade_norms = []
@@ -166,8 +177,8 @@ def sweep(product_fn: ProductForm, a: Vector3, b: Vector3, kind: MeasureKind,
         grade_norms.append(tuple(map(math.sqrt, map(sum, zip(*squares)))) if squares else zeros)
     peaks = tuple(max(norms) for norms in grade_norms)
     return Sweep(
-        grid=tuple(grid),
-        values=tuple(map(Multivector, zip(*columns))),
+        grid=grid,
+        columns=tuple(columns),
         grade_norms=tuple(grade_norms),
         support=GradeSupport(frozenset(k for k in GRADES if peaks[k] > tol), peaks),
         isotropic=expectation(product_fn, a, b, ISOTROPIC, kind, tol),

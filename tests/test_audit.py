@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import dataclasses
+import gc
 import io
 import json
 import math
@@ -572,6 +573,20 @@ def test_json_emit_refuses_nan(default_report):
         **doc, "chsh": {**doc["chsh"], "quantum_target_s": float("nan")}})
     with pytest.raises(ValueError):
         emit(bad, "json")
+
+
+def test_json_emit_leaves_no_reference_cycle(default_report):
+    # A cycle would keep every fragment of the document alive until a
+    # collection reached it.
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        emit(default_report, "json")
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # --- the JSON emitter against the stdlib encoder --------------------------------------------

@@ -23,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from g3bell.cli import main
+from g3bell.measure import Sweep
 
 DATA = Path(__file__).parent / "data"
 
@@ -56,3 +57,17 @@ def test_default_report_matches_golden_bytes(argv, golden, exit_code, capsys):
     out = capsys.readouterr().out
     assert code == exit_code
     assert out.encode() == (DATA / golden).read_bytes()
+
+
+def test_audit_reads_sweep_columns_not_values(monkeypatch, capsys):
+    # Sweep.values builds a Multivector per grid point; the audit reads the
+    # coefficient columns instead.
+    def unread(self):
+        pytest.fail("the audit read Sweep.values")
+
+    monkeypatch.setattr(Sweep, "values", property(unread))
+    [(argv, golden, exit_code)] = [case for case in CASES
+                                   if case[1] == "generic_pairs_report.json"]
+    code = main(argv)
+    assert code == exit_code
+    assert capsys.readouterr().out.encode() == (DATA / golden).read_bytes()

@@ -212,6 +212,31 @@ def test_sweep_rejects_bad_grid(grid):
         sweep(product_identity, E1V, E2V, SCALAR, grid)
 
 
+@pytest.mark.parametrize("grid", [(0.0, math.nan, 1.0), (0.0, 0.5, 1.0000001)])
+def test_sweep_rejects_one_bad_point_among_good_ones(grid):
+    with pytest.raises(ValueError):
+        sweep(product_identity, E1V, GENERIC, DIRECTED, grid)
+
+
+def test_sweep_builds_no_per_point_multivector(monkeypatch):
+    # The values are stored as coefficient columns; Multivectors are built
+    # per product and for the isotropic record, never per grid point.
+    calls = []
+    original = Multivector.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Multivector, "__init__", counted)
+    counts = []
+    for step in (0.1, 0.001):
+        calls.clear()
+        sweep(product_identity, E1V, GENERIC, DIRECTED, p_grid(step))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
 def test_sweep_isotropic_record_off_grid():
     swept = sweep(product_identity, E1V, E2V, SCALAR, (0.0, 1.0))
     assert swept.grid == (0.0, 1.0)
