@@ -19,6 +19,7 @@ from .ga import (
     GradeSupport,
     I,
     Multivector,
+    ONE,
     Vector3,
     cross,
     dot,
@@ -26,9 +27,8 @@ from .ga import (
     grade_audit,
     grade_project,
 )
-from .model import ORIENTATIONS, PRODUCT_FORMS, OrientationDistribution
-from .measure import (MeasureKind, is_valid_probability_measure, measure_total, p_grid,
-                      p_grid_size, sweep)
+from .model import ORIENTATIONS, PRODUCT_FORMS
+from .measure import MeasureKind, measure_total_columns, p_grid, p_grid_size, sweep
 from .bell import (
     DEFAULT_ANGLES_DEG,
     ChshScenario,
@@ -335,21 +335,25 @@ def _isotropic_dict(result, tol: float) -> dict:
 
 
 def _normalization_section(grid, tol: float) -> dict:
-    scalar_totals, directed_totals = (
-        [measure_total(OrientationDistribution(p), kind) for p in grid] for kind in _KINDS)
-    constant = all(t.max_abs_diff(scalar_totals[0]) <= tol for t in scalar_totals) and \
-        all(t.max_abs_diff(directed_totals[0]) <= tol for t in directed_totals)
+    # Each kind's totals over the grid as coefficient columns, compared with
+    # the tests of max_abs_diff; the report shows the total at the first point.
+    scalar, directed = (measure_total_columns(grid, kind) for kind in _KINDS)
     return {
-        "scalar_total": _mv_dict(scalar_totals[0]),
-        "scalar_valid_probability_measure":
-            all(is_valid_probability_measure(t, tol) for t in scalar_totals),
-        "directed_total": _mv_dict(directed_totals[0]),
-        "directed_valid_probability_measure":
-            all(is_valid_probability_measure(t, tol) for t in directed_totals),
-        "directed_total_is_unit_trivector":
-            all(t.max_abs_diff(I) == 0.0 for t in directed_totals),
-        "totals_constant_over_grid": constant,
+        "scalar_total": dict(zip(_MV_KEYS, (column[0] for column in scalar))),
+        "scalar_valid_probability_measure": _within(scalar, ONE.coeffs, tol),
+        "directed_total": dict(zip(_MV_KEYS, (column[0] for column in directed))),
+        "directed_valid_probability_measure": _within(directed, ONE.coeffs, tol),
+        "directed_total_is_unit_trivector": _within(directed, I.coeffs, 0.0),
+        "totals_constant_over_grid": all(
+            _within(columns, [column[0] for column in columns], tol)
+            for columns in (scalar, directed)),
     }
+
+
+def _within(columns, target, tol: float) -> bool:
+    """True iff every point of the columns is within ``tol`` of ``target`` in
+    every slot: ``max_abs_diff(target) <= tol`` at each point, NaN failing."""
+    return all(abs(x - t) <= tol for column, t in zip(columns, target) for x in column)
 
 
 def _functional_range(pr: _AuditedPair) -> dict:

@@ -13,7 +13,10 @@ from __future__ import annotations
 import inspect
 import itertools
 import math
+import os
 import random
+import struct
+import threading
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -81,7 +84,8 @@ def make_scalarizer(name: str, fn: ScalarizerFn) -> Scalarizer:
     for setting in _PROBE_SETTINGS:
         for hv in ORIENTATIONS:
             value = fn(setting, hv)
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not math.isfinite(value)):
                 raise ValueError(f"scalarizer {name!r} returned a non-real value: {value!r}")
             if abs(value) > 1.0 + 1e-12:
                 raise ValueError(f"scalarizer {name!r} left [-1, 1]: {value!r}")
@@ -175,23 +179,20 @@ def random_unit_vector(rng: random.Random) -> Vector3:
     return _unit_vector(lambda: rng.gauss(0.0, 1.0))
 
 
-def scalarizer_maxima(scalarizers: Sequence[Scalarizer], trials: int,
-                      seed: int) -> tuple[float, ...]:
-    """Max |S| per scalarizer over one seeded stream of random scenarios and
-    distribution weights, shared by every scalarizer.
+# A split run folds each half, at least 1,000 trials or about 28 ms of a
+# default audit, in its own process; a fork round trip takes about 3 ms.
+_SPLIT_MIN_TRIALS = 2000
+# Uniform draws per trial when no triple is rejected: six Box-Muller pairs for
+# the four normal triples, and the weight.  No normal is then pending between
+# trials.
+_DRAWS_PER_TRIAL = 13
 
-    Each trial evaluates each scalarizer once per (setting, orientation) and
-    combines the 8 values in the association order of
-    ``chsh(lambda a, b: scalar_correlation(s, a, b, dist), scenario)``, so the
-    maxima are bit-identical to that definition.
-    """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials!r}")
-    rng = random.Random(seed)
-    normal = _standard_normals(rng).__next__
+
+def _fold(fns: Sequence[ScalarizerFn], rng: random.Random, normal: Callable[[], float],
+          trials: int, worst: list[float]) -> None:
+    """Fold ``trials`` trials into ``worst``: Max |S| per scalarizer, raised
+    only by a strictly larger value, so a NaN is never stored."""
     plus, minus = ORIENTATIONS
-    fns = [s.fn for s in scalarizers]
-    worst = [0.0] * len(fns)
     for _ in range(trials):
         # Drawn unit and in [0, 1), in ChshScenario's order, so left unchecked.
         a, a2, b, b2 = [_unit_vector(normal) for _ in range(4)]
@@ -210,6 +211,115 @@ def scalarizer_maxima(scalarizers: Sequence[Scalarizer], trials: int,
             )
             if value > worst[k]:
                 worst[k] = value
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _splits(trials: int) -> bool:
+    """Whether ``scalarizer_maxima`` folds the last half of its trials in a
+    forked child.  A process with a second thread is never forked: the child
+    would inherit any lock that thread holds, with no thread to release it."""
+    return (trials >= _SPLIT_MIN_TRIALS and hasattr(os, "fork")
+            and threading.active_count() == 1 and _usable_cpus() >= 2)
+
+
+def _advanced(seed: int, draws: int) -> random.Random:
+    """``random.Random(seed)`` after ``draws`` calls of ``random()``, each of
+    which takes two 32-bit words, as ``getrandbits(64)`` does; advanced in
+    bounded chunks."""
+    rng = random.Random(seed)
+    while draws:
+        chunk = min(draws, 1024)
+        rng.getrandbits(64 * chunk)
+        draws -= chunk
+    return rng
+
+
+def _fork_fold(fns: Sequence[ScalarizerFn], rng: random.Random,
+               trials: int) -> tuple[int, int] | None:
+    """Fork a child that folds ``trials`` trials from ``rng`` with a fresh
+    normal generator and writes its maxima to a pipe as ``<d`` doubles;
+    return the child's pid and the pipe's read end, or None when no pipe or
+    process can be had.  The child writes nothing else and always ends in
+    ``os._exit``: 0 once its maxima are written, 1 on any exception."""
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    status = 1
+    try:
+        os.close(read_fd)
+        worst = [0.0] * len(fns)
+        _fold(fns, rng, _standard_normals(rng).__next__, trials, worst)
+        with open(write_fd, "wb") as pipe:
+            pipe.write(struct.pack(f"<{len(worst)}d", *worst))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def scalarizer_maxima(scalarizers: Sequence[Scalarizer], trials: int,
+                      seed: int) -> tuple[float, ...]:
+    """Max |S| per scalarizer over one seeded stream of random scenarios and
+    distribution weights, shared by every scalarizer.
+
+    Each trial evaluates each scalarizer once per (setting, orientation) and
+    combines the 8 values in the association order of
+    ``chsh(lambda a, b: scalar_correlation(s, a, b, dist), scenario)``, so the
+    maxima are bit-identical to that definition.
+
+    From 2,000 trials on, with a second usable CPU and no second thread, a
+    forked child folds the last ``trials // 2`` trials while this process
+    folds the rest.  The child starts from the stream advanced by 13 draws per
+    head trial, which is where the head ends exactly when it rejects no
+    triple; its maxima are used only then, and only if it exited with status
+    0 after writing them all.  Otherwise this process folds the tail itself,
+    continuing its own stream.  Either way the maxima, and any exception a
+    scalarizer raises, are those of one sequential fold.
+    """
+    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
+        raise ValueError(f"trials must be an int >= 1, got {trials!r}")
+    fns = [s.fn for s in scalarizers]
+    rng = random.Random(seed)
+    normal = _standard_normals(rng).__next__
+    worst = [0.0] * len(fns)
+    child = None
+    if _splits(trials):
+        tail = trials // 2
+        ahead = _advanced(seed, _DRAWS_PER_TRIAL * (trials - tail))
+        child = _fork_fold(fns, ahead, tail)
+    if child is None:
+        _fold(fns, rng, normal, trials, worst)
+        return tuple(worst)
+    pid, read_fd = child
+    with open(read_fd, "rb") as pipe:
+        try:
+            _fold(fns, rng, normal, trials - tail, worst)
+            data = pipe.read()
+        except BaseException:
+            import signal  # imported here only, to keep it off the start-up path
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            status = os.waitpid(pid, 0)[1]
+    if status == 0 and len(data) == 8 * len(fns) and rng.getstate() == ahead.getstate():
+        tail_worst = struct.unpack(f"<{len(fns)}d", data)
+        return tuple(t if t > h else h for h, t in zip(worst, tail_worst))
+    _fold(fns, rng, normal, tail, worst)
     return tuple(worst)
 
 

@@ -50,6 +50,13 @@ def measure_total(dist: OrientationDistribution, kind: MeasureKind) -> Multivect
     return _UNIT[kind].scale(dist.p_plus) + _UNIT[kind].scale(dist.p_minus)
 
 
+def measure_total_columns(grid: tuple[float, ...],
+                          kind: MeasureKind) -> tuple[tuple[float, ...], ...]:
+    """``measure_total`` at each grid point, column-major: ``columns[i][j]`` is
+    slot ``i`` of the total at ``grid[j]``, from the same float operations."""
+    return tuple(tuple([p * u + (1.0 - p) * u for p in grid]) for u in _UNIT[kind].coeffs)
+
+
 def is_valid_probability_measure(total: Multivector, tol: float) -> bool:
     """True iff the measure total is the scalar 1 within tolerance."""
     return total.max_abs_diff(Multivector.scalar(1.0)) <= tol

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 import g3bell
 from g3bell import audit
-from g3bell.ga import GradeSupport, Multivector, Vector3, ZERO, cross, dot
-from g3bell.model import PRODUCT_FORMS
+from g3bell.ga import GradeSupport, I, Multivector, Vector3, ZERO, cross, dot
+from g3bell.model import PRODUCT_FORMS, OrientationDistribution
 from g3bell.audit import (
     AuditConfig,
     CLAIM_MAP,
@@ -33,7 +33,8 @@ from g3bell.audit import (
     pair_key,
     run_audit,
 )
-from g3bell.measure import p_grid_size
+from g3bell.measure import (MeasureKind, is_valid_probability_measure, measure_total, p_grid,
+                            p_grid_size)
 from g3bell.cli import (_VALUE_FLAGS, angles_argument, build_parser, config_from_args, main,
                         main_entry, pair_argument)
 
@@ -336,6 +337,50 @@ def test_grade_norm_calls_do_not_grow_with_the_grid(monkeypatch):
         run_audit(AuditConfig(p_step=p_step, extra_pairs=pairs, trials=50))
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+def test_normalization_builds_no_per_point_multivector(monkeypatch):
+    # The totals are checked as coefficient columns over the grid.
+    calls = []
+    original = Multivector.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Multivector, "__init__", counted)
+    counts = []
+    for p_step in (0.1, 0.001):
+        grid = p_grid(p_step)
+        calls.clear()
+        audit._normalization_section(grid, 1e-12)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def _normalization_by_totals(grid, tol):
+    """The normalization section as first written: one total per grid point."""
+    scalar_totals, directed_totals = (
+        [measure_total(OrientationDistribution(p), kind) for p in grid] for kind in MeasureKind)
+    return {
+        "scalar_total": audit._mv_dict(scalar_totals[0]),
+        "scalar_valid_probability_measure":
+            all(is_valid_probability_measure(t, tol) for t in scalar_totals),
+        "directed_total": audit._mv_dict(directed_totals[0]),
+        "directed_valid_probability_measure":
+            all(is_valid_probability_measure(t, tol) for t in directed_totals),
+        "directed_total_is_unit_trivector": all(t.max_abs_diff(I) == 0.0 for t in directed_totals),
+        "totals_constant_over_grid":
+            all(t.max_abs_diff(scalar_totals[0]) <= tol for t in scalar_totals)
+            and all(t.max_abs_diff(directed_totals[0]) <= tol for t in directed_totals),
+    }
+
+
+@pytest.mark.parametrize("grid", [p_grid(0.1), p_grid(0.001), (0.3, 0.0, 1.0 / 3.0, 5e-324, 1.0)])
+@pytest.mark.parametrize("tol", [0.0, 1e-12, 0.5])
+def test_normalization_section_matches_per_point_totals(grid, tol):
+    section = audit._normalization_section(grid, tol)
+    assert repr(section) == repr(_normalization_by_totals(grid, tol))
 
 
 def test_negated_identity_product_refutes_the_split(monkeypatch, capsys):

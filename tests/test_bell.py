@@ -1,11 +1,14 @@
 import math
+import os
 import random
+import threading
 
 import pytest
 from hypothesis import given, assume
 from hypothesis import strategies as st
 
 from g3bell.ga import NonUnitVectorError, Vector3, dot
+from g3bell import bell
 from g3bell.model import ORIENTATIONS, OrientationDistribution
 from g3bell.bell import (
     DEFAULT_ANGLES_DEG,
@@ -160,6 +163,9 @@ def test_out_of_range_scalarizer_rejected():
 def test_non_real_scalarizer_rejected():
     with pytest.raises(ValueError, match="non-real"):
         make_scalarizer("nan", lambda a, hv: float("nan"))
+    # A bool is an int to isinstance, but not a real value.
+    with pytest.raises(ValueError, match="non-real"):
+        make_scalarizer("bool", lambda a, hv: hv.orientation > 0)
 
 
 def test_registered_names():
@@ -187,9 +193,17 @@ def test_scalarizer_audit_deterministic_per_seed():
     assert first == second
 
 
-def test_scalarizer_audit_rejects_bad_trials():
+def test_scalarizer_audit_rejects_bad_trials(monkeypatch):
     with pytest.raises(ValueError):
         scalarizer_audit(ORIENT_SIGN, trials=0, seed=1)
+    # Rejected before any draw or fork, like AuditConfig's trials.
+    monkeypatch.setattr(bell, "_standard_normals", None)
+    monkeypatch.setattr(os, "fork", None, raising=False)
+    for trials in (True, False, 2.5, 2000.0, "10"):
+        with pytest.raises(ValueError, match="trials"):
+            scalarizer_audit(ORIENT_SIGN, trials=trials, seed=1)
+        with pytest.raises(ValueError, match="trials"):
+            scalarizer_maxima(default_scalarizers(), trials=trials, seed=1)
 
 
 # --- streamed Monte Carlo against the per-scalarizer reference loop ----------------------------
@@ -248,3 +262,171 @@ def test_sampler_rejects_tiny_triples_like_reference():
     fast, ref = _ScriptedGauss(draws), _ScriptedGauss(draws)
     assert random_unit_vector(fast) == reference_unit_vector(ref) == Vector3(3 / 13, -4 / 13, 12 / 13)
     assert fast.values == ref.values == [9.0]
+
+
+# --- the Monte Carlo split between this process and one forked child ----------------------------
+
+HEAD_TRIALS = 1001  # of SPLIT_TRIALS; the child folds the other 1000
+SPLIT_TRIALS = 2001
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children forked by this process while the test runs."""
+    pids = []
+    real_fork = os.fork
+
+    def counted():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted, raising=False)
+    return pids
+
+
+def _require_split(trials):
+    if not bell._splits(trials):
+        pytest.skip("this process cannot fork a worker on a second CPU")
+
+
+def _in_process(monkeypatch):
+    monkeypatch.setattr(bell, "_splits", lambda trials: False)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("trials", [2000, 4001])
+@pytest.mark.parametrize("seed", [1, 42, 2024])
+def test_split_maxima_bitwise_equal_to_reference_loop(trials, seed, forks):
+    _require_split(trials)
+    fast = scalarizer_maxima(CONTINUOUS, trials, seed)
+    assert fast == reference_scalarizer_maxima(CONTINUOUS, trials, seed)
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
+def test_split_takes_the_tail_from_the_child(forks):
+    # A call made in the child is invisible here: only the head's calls count.
+    calls = []
+
+    def counted(a, hv):
+        calls.append(a)
+        return hv.orientation * a.z
+
+    s = make_scalarizer("counted", counted)
+    _require_split(SPLIT_TRIALS)
+    calls.clear()
+    maxima = scalarizer_maxima((s,), SPLIT_TRIALS, 3)
+    assert len(forks) == 1
+    assert len(calls) == 8 * HEAD_TRIALS
+    assert maxima == reference_scalarizer_maxima((s,), SPLIT_TRIALS, 3)
+
+
+def _reject_one_triple(monkeypatch, index):
+    """Have the first normal generator made from now on shrink its normals
+    ``index`` to ``index + 2`` into a triple that the sampler rejects, so that
+    trial draws more than 13 uniforms.  A child forked afterwards makes its own
+    generator and keeps the plain stream."""
+    real = bell._standard_normals
+    made = []
+
+    def shrunk(stream):
+        for i, x in enumerate(stream):
+            yield x * 1e-9 if index <= i < index + 3 else x
+
+    def normals(rng):
+        stream = real(rng)
+        if made:
+            return stream
+        made.append(rng)
+        return shrunk(stream)
+
+    monkeypatch.setattr(bell, "_standard_normals", normals)
+
+
+@pytest.mark.parametrize("seed", [4, 5, 6])
+def test_split_falls_back_when_the_head_rejects_a_triple(seed, monkeypatch, forks):
+    _require_split(SPLIT_TRIALS)
+    index = 12 * 500  # the first triple of trial 500, in the head
+    with monkeypatch.context() as m:
+        _in_process(m)
+        _reject_one_triple(m, index)
+        expected = scalarizer_maxima(CONTINUOUS, SPLIT_TRIALS, seed)
+        _reject_one_triple(m, index)
+        head_only = scalarizer_maxima(CONTINUOUS, HEAD_TRIALS, seed)
+    # The tail sets a maximum, so a tail folded from the wrong place would show.
+    assert expected != head_only
+    _reject_one_triple(monkeypatch, index)
+    assert scalarizer_maxima(CONTINUOUS, SPLIT_TRIALS, seed) == expected
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
+def _first_setting_of_trial(seed, trial):
+    """Setting a of the given trial of the Monte Carlo stream for ``seed``."""
+    rng = random.Random(seed)
+    for _ in range(trial):
+        for _ in range(4):
+            reference_unit_vector(rng)
+        rng.random()
+    return reference_unit_vector(rng)
+
+
+@pytest.mark.parametrize("trial", [500, HEAD_TRIALS + 300])
+def test_split_raises_what_the_sequential_fold_raises(trial, monkeypatch, forks):
+    _require_split(SPLIT_TRIALS)
+    seed = 8
+    target = _first_setting_of_trial(seed, trial)
+
+    def fragile(a, hv):
+        if a == target:
+            raise ArithmeticError(f"no value at {a}")
+        return hv.orientation * a.z
+
+    scalarizers = (CONTINUOUS[1], make_scalarizer("fragile", fragile))
+    with monkeypatch.context() as m:
+        _in_process(m)
+        with pytest.raises(ArithmeticError) as sequential:
+            scalarizer_maxima(scalarizers, SPLIT_TRIALS, seed)
+    with pytest.raises(ArithmeticError) as split:
+        scalarizer_maxima(scalarizers, SPLIT_TRIALS, seed)
+    assert str(split.value) == str(sequential.value) == f"no value at {target}"
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
+def _no_process():
+    raise BlockingIOError("fork: resource temporarily unavailable")
+
+
+def test_no_split_below_the_threshold_or_without_a_second_cpu_or_process(monkeypatch, forks):
+    expected = reference_scalarizer_maxima(CONTINUOUS, 2000, 9)
+    assert scalarizer_maxima(CONTINUOUS, 1999, 9) == \
+        reference_scalarizer_maxima(CONTINUOUS, 1999, 9)
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        m.setattr(os, "cpu_count", lambda: 1)
+        assert scalarizer_maxima(CONTINUOUS, 2000, 9) == expected
+    with monkeypatch.context() as m:
+        m.delattr(os, "sched_getaffinity", raising=False)
+        m.setattr(os, "cpu_count", lambda: None)
+        assert scalarizer_maxima(CONTINUOUS, 2000, 9) == expected
+    release = threading.Event()
+    worker = threading.Thread(target=release.wait)
+    worker.start()
+    try:
+        assert scalarizer_maxima(CONTINUOUS, 2000, 9) == expected
+    finally:
+        release.set()
+        worker.join()
+    assert forks == []
+    with monkeypatch.context() as m:
+        m.setattr(os, "fork", _no_process)
+        assert scalarizer_maxima(CONTINUOUS, 2000, 9) == expected
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert scalarizer_maxima(CONTINUOUS, 2000, 9) == expected

@@ -12,6 +12,7 @@ from g3bell.measure import (
     expectation,
     is_valid_probability_measure,
     measure_total,
+    measure_total_columns,
     p_grid,
     p_grid_size,
     sweep,
@@ -216,6 +217,16 @@ def test_sweep_rejects_bad_grid(grid):
 def test_sweep_rejects_one_bad_point_among_good_ones(grid):
     with pytest.raises(ValueError):
         sweep(product_identity, E1V, GENERIC, DIRECTED, grid)
+
+
+@pytest.mark.parametrize("kind", [SCALAR, DIRECTED])
+def test_measure_total_columns_are_the_totals_bitwise(kind):
+    grid = p_grid(0.001) + (0.3, 1.0 / 3.0, 5e-324, 1.0 - 2.0 ** -53)
+    columns = measure_total_columns(grid, kind)
+    assert len(columns) == 8
+    for j, p in enumerate(grid):
+        total = measure_total(OrientationDistribution(p), kind)
+        assert [c[j].hex() for c in columns] == [x.hex() for x in total.coeffs]
 
 
 def test_sweep_builds_no_per_point_multivector(monkeypatch):
