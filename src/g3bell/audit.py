@@ -27,7 +27,7 @@ from .ga import (
     grade_audit,
     grade_project,
 )
-from .model import ORIENTATIONS, PRODUCT_FORMS
+from .model import ORIENTATIONS, PRODUCT_FORMS, ProductForm
 from .measure import MeasureKind, measure_total_columns, p_grid, p_grid_size, sweep
 from .bell import (
     DEFAULT_ANGLES_DEG,
@@ -194,14 +194,20 @@ class _AuditedPair:
 
 
 def _audit_pair(key: str, a: Vector3, b: Vector3, grid, tol: float) -> _AuditedPair:
-    # The forms are looked up at call time, so a wrapped PRODUCT_FORMS entry is seen.
+    # Each form is evaluated once per orientation, looked up at call time so a wrapped
+    # PRODUCT_FORMS entry is seen; the sweeps and their isotropic results read these.
+    products = {hv.orientation: {form: PRODUCT_FORMS[form](a, b, hv) for form in _FORMS}
+                for hv in ORIENTATIONS}
+
+    def held(form: str) -> ProductForm:
+        return lambda a, b, hv: products[hv.orientation][form]
+
     return _AuditedPair(
         key=key,
         dot=dot(a, b),
         cross_norm=cross(a, b).norm(),
-        products={hv.orientation: {form: PRODUCT_FORMS[form](a, b, hv) for form in _FORMS}
-                  for hv in ORIENTATIONS},
-        sweeps={form: {kind: sweep(PRODUCT_FORMS[form], a, b, kind, grid, tol) for kind in _KINDS}
+        products=products,
+        sweeps={form: {kind: sweep(held(form), a, b, kind, grid, tol) for kind in _KINDS}
                 for form in _FORMS},
     )
 

@@ -165,10 +165,6 @@ class GradeSupport:
     present: frozenset[int]
     max_magnitude: tuple[float, float, float, float]
 
-    @classmethod
-    def empty(cls) -> GradeSupport:
-        return cls(frozenset(), (0.0, 0.0, 0.0, 0.0))
-
     def union(self, other: GradeSupport) -> GradeSupport:
         return GradeSupport(
             self.present | other.present,
@@ -177,11 +173,6 @@ class GradeSupport:
 
     def grades(self) -> tuple[int, ...]:
         return tuple(sorted(self.present))
-
-    def __str__(self) -> str:
-        if not self.present:
-            return "{}"
-        return "{" + ", ".join(str(g) for g in self.grades()) + "}"
 
 
 def gp(x: Multivector, y: Multivector) -> Multivector:

@@ -24,7 +24,6 @@ from .ga import (
     ONE,
     Multivector,
     Vector3,
-    ZERO,
     grade_audit,
     gp,
 )
@@ -78,26 +77,37 @@ class ExpectationResult:
     valid_probability_measure: bool
 
 
+def _atom_sums(product_fn: ProductForm, a: Vector3, b: Vector3, kind: MeasureKind, points):
+    """The expectation at each point ``(p, q)``, p and q weighing the + and -
+    atoms, as columns: ``columns[i][j]`` is slot ``i`` at ``points[j]``.  The
+    weights are unchecked, so p may be a polynomial.  A slot that is zero in
+    both products is +0.0 at every point and shares one column of zeros."""
+    # product*1, or product*I (a signed permutation), is exact at any scale.
+    plus, minus = (gp(product_fn(a, b, hv).scale(_SCALE), _UNIT[kind]).coeffs
+                   for hv in ORIENTATIONS)
+    zeros = (0.0,) * len(points)
+    return [tuple([_UNSCALE * ((0.0 + t * p) + (0.0 + u * q)) for p, q in points])
+            if t != 0.0 or u != 0.0 else zeros
+            for t, u in zip(plus, minus)]
+
+
 def expectation(product_fn: ProductForm, a: Vector3, b: Vector3,
                 dist: OrientationDistribution, kind: MeasureKind,
                 tol: float = DEFAULT_TOLERANCE) -> ExpectationResult:
     """Sum of product_fn(a, b, lambda) times the atom weight, over lambda.
 
     The weight multiplies on the right; I is central in G3, so the side
-    does not matter for the directed kind.
+    does not matter for the directed kind.  A per-atom term is the sum with
+    the other atom weighing 0, whose +0.0 changes no bit.
     """
-    scaled = ZERO
-    term_support = GradeSupport.empty()
-    for hv in ORIENTATIONS:
-        term = gp(product_fn(a, b, hv).scale(_SCALE), _UNIT[kind].scale(dist.weight(hv)))
-        term_support = term_support.union(grade_audit(term.scale(_UNSCALE), tol))
-        scaled = scaled + term
-    value = scaled.scale(_UNSCALE)
+    p, q = dist.p_plus, dist.p_minus
+    value, plus, minus = map(Multivector, zip(*_atom_sums(
+        product_fn, a, b, kind, ((p, q), (p, 0.0), (0.0, q)))))
     total = measure_total(dist, kind)
     return ExpectationResult(
         value=value,
         support=grade_audit(value, tol),
-        term_support=term_support,
+        term_support=grade_audit(plus, tol).union(grade_audit(minus, tol)),
         measure_total=total,
         valid_probability_measure=is_valid_probability_measure(total, tol),
     )
@@ -131,8 +141,8 @@ class Sweep:
     each point, the magnitude of each grade at each point, their union grade
     support, and the isotropic expectation.
 
-    The values are stored column-major: ``columns[i][j]`` is coefficient slot
-    ``i`` of the value at ``grid[j]``, and ``values`` builds the per-point
+    The values are the atom sum's columns: ``columns[i][j]`` is coefficient
+    slot ``i`` of the value at ``grid[j]``, and ``values`` builds the per-point
     ``Multivector``s from the columns on each read.  ``grade_norms[k][j]`` is
     ``values[j].grade_norm(k)``, bit for bit, so a reader of per-point grade
     magnitudes need not recompute them.
@@ -156,31 +166,23 @@ def sweep(product_fn: ProductForm, a: Vector3, b: Vector3, kind: MeasureKind,
     """The expectation at every grid point from two product evaluations,
     built one coefficient slot at a time across the whole grid.
 
-    Each value is affine in p and made with the float operations of
-    ``expectation``, so it equals ``expectation(...).value`` bitwise.  A slot
-    whose two products are both zero is ``0.0 + (+-0.0)``, that is +0.0, at
-    every p, so it shares one column of zeros and is not computed.  A grade
-    norm is ``grade_norm``'s ``sqrt(sum(c ** 2))`` over the live slots of the
-    grade, in slot order: each dropped term is ``(+0.0) ** 2``, and adding
-    +0.0 to a sum of squares changes no bit.  The support peaks are the
-    maxima of those norms.
+    Each value is the atom sum that ``expectation`` computes, run over the
+    grid, so it equals ``expectation(...).value`` bitwise.  A grade norm is
+    ``grade_norm``'s ``sqrt(sum(c ** 2))`` over the grade's slots that are
+    nonzero somewhere on the grid, in slot order: each dropped term is
+    ``(+-0.0) ** 2``, that is +0.0, and adding +0.0 to a sum of squares
+    changes no bit.  The support peaks are the maxima of those norms.
     """
     grid = tuple(grid)
     # One pass checks the grid (a NaN fails both comparisons) and weighs it.
-    complements = [1.0 - p for p in grid if 0.0 <= p <= 1.0]
-    if not grid or len(complements) < len(grid):
+    points = [(p, 1.0 - p) for p in grid if 0.0 <= p <= 1.0]
+    if not grid or len(points) < len(grid):
         raise ValueError("p-grid must be non-empty with every point in [0, 1]")
-    # product*1, or product*I (a signed permutation), is exact at any scale.
-    plus, minus = (gp(product_fn(a, b, hv).scale(_SCALE), _UNIT[kind]).coeffs
-                   for hv in ORIENTATIONS)
+    columns = _atom_sums(product_fn, a, b, kind, points)
     zeros = (0.0,) * len(grid)
-    columns = [tuple([_UNSCALE * ((0.0 + t * p) + (0.0 + u * q))
-                      for p, q in zip(grid, complements)])
-               if t != 0.0 or u != 0.0 else zeros
-               for t, u in zip(plus, minus)]
     grade_norms = []
     for k in GRADES:
-        squares = [[c ** 2 for c in columns[i]] for i in GRADE_SLOTS[k] if columns[i] is not zeros]
+        squares = [[c ** 2 for c in columns[i]] for i in GRADE_SLOTS[k] if any(columns[i])]
         grade_norms.append(tuple(map(math.sqrt, map(sum, zip(*squares)))) if squares else zeros)
     peaks = tuple(max(norms) for norms in grade_norms)
     return Sweep(

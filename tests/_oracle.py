@@ -14,6 +14,11 @@ The CHSH Monte Carlo reference at the end is the straightforward loop that
 definitional ``chsh`` over ``scalar_correlation``.  It is built on those
 package definitions and serves as a bitwise oracle for the fast path.
 
+``reference_expectation`` is the expectation as first written: a loop over
+the two orientation atoms that adds each weighted term to ``ZERO`` through
+``gp``.  ``expectation`` and every ``sweep`` value must match it bit for bit,
+sign of zero included.
+
 ``reference_emit_json`` is the JSON emission as first written: a copy of the
 tree with every float rounded to 15 significant digits, then the stdlib
 encoder at ``indent=2`` with ``allow_nan=False``.  The report emitter must
@@ -27,8 +32,10 @@ import math
 import random
 
 from g3bell.bell import ChshScenario, chsh, scalar_correlation
-from g3bell.ga import Vector3
-from g3bell.model import OrientationDistribution
+from g3bell.ga import GradeSupport, Vector3, ZERO, grade_audit, gp
+from g3bell.measure import (_SCALE, _UNIT, _UNSCALE, ExpectationResult,
+                            is_valid_probability_measure, measure_total)
+from g3bell.model import ORIENTATIONS, OrientationDistribution
 
 ORACLE_BLADES = [(), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]
 
@@ -128,6 +135,26 @@ def reference_p_grid(step: float) -> tuple[float, ...]:
     if abs(points[-1] - 1.0) <= 1e-12:
         points[-1] = 1.0
     return tuple(points)
+
+
+def reference_expectation(product_fn, a, b, dist, kind, tol=1e-12) -> ExpectationResult:
+    """The original expectation: each atom's term is the 2**54-scaled product
+    times the weighted unit, and the terms are summed from ``ZERO``."""
+    scaled = ZERO
+    term_support = GradeSupport(frozenset(), (0.0, 0.0, 0.0, 0.0))
+    for hv in ORIENTATIONS:
+        term = gp(product_fn(a, b, hv).scale(_SCALE), _UNIT[kind].scale(dist.weight(hv)))
+        term_support = term_support.union(grade_audit(term.scale(_UNSCALE), tol))
+        scaled = scaled + term
+    value = scaled.scale(_UNSCALE)
+    total = measure_total(dist, kind)
+    return ExpectationResult(
+        value=value,
+        support=grade_audit(value, tol),
+        term_support=term_support,
+        measure_total=total,
+        valid_probability_measure=is_valid_probability_measure(total, tol),
+    )
 
 
 def _reference_round15(x: float) -> float:

@@ -395,6 +395,29 @@ def test_negated_identity_product_refutes_the_split(monkeypatch, capsys):
     assert f"{split['statement']}: refuted\n" in capsys.readouterr().out
 
 
+def test_audit_evaluates_each_product_form_twice_per_pair(monkeypatch):
+    # Wrapped as the benchmark harness wraps them: each PRODUCT_FORMS entry, and
+    # expectation in every g3bell namespace that holds it.
+    calls = {}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for form, fn in list(PRODUCT_FORMS.items()):
+        monkeypatch.setitem(PRODUCT_FORMS, form, counting(form, fn))
+    for mod in (g3bell, g3bell.measure):
+        monkeypatch.setattr(mod, "expectation", counting("expectation", mod.expectation))
+    extra = (Vector3(0.0, 0.6, 0.8), Vector3(0.0, 0.0, 1.0))
+    config = AuditConfig(p_step=0.25, extra_pairs=(extra,), **FAST)
+    pairs = len(audit.audited_pairs(config))
+    run_audit(config)
+    assert pairs == 4
+    assert calls == {"identity": 2 * pairs, "raw": 2 * pairs, "expectation": 4 * pairs}
+
+
 def test_claim_table_drives_every_claim_reader(monkeypatch, capsys):
     extra = Claim("extra_claim", "an extra claim that never holds", "the evaluator says no",
                   lambda report, pairs: (False, {"pairs_seen": len(pairs)}))
@@ -500,7 +523,7 @@ def test_format_value_annotates_tagged_zero():
     both = GradeSupport(frozenset({1, 2}), (0.0, 1.0, 1.0, 0.0))
     assert format_value(ZERO, both, 1e-12) == "0 [as grades 1, 2]"
     assert format_value(Multivector.scalar(2.0), support, 1e-12) == "2"
-    assert format_value(ZERO, GradeSupport.empty(), 1e-12) == "0"
+    assert format_value(ZERO, GradeSupport(frozenset(), (0.0,) * 4), 1e-12) == "0"
 
 
 def test_format_value_renders_a_nan_coefficient():

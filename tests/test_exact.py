@@ -3,9 +3,10 @@
 Each component of the settings a and b, and the weight p of the + orientation,
 is a polynomial variable, and the package's own ``product_raw`` (with its
 ``observable``), ``product_identity``, ``measure_total``, ``gp``, ``cross``,
-``dot`` and ``wedge`` run unmodified on the polynomial coefficients (see
-``_exact``).  Each equality below is therefore an identity of polynomials: it
-holds for every setting pair and every p, not only for sampled ones.
+``dot`` and ``wedge``, and the expectation's atom sum, run unmodified on the
+polynomial coefficients (see ``_exact``).  Each equality below is therefore an
+identity of polynomials: it holds for every setting pair and every p, not only
+for sampled ones.
 """
 
 from types import SimpleNamespace
@@ -13,8 +14,8 @@ from types import SimpleNamespace
 import pytest
 
 import g3bell.model
-from g3bell.ga import I, ONE, Multivector, Vector3, cross, dot, gp, wedge
-from g3bell.measure import _UNIT, MeasureKind, measure_total
+from g3bell.ga import I, ONE, Multivector, Vector3, cross, dot, wedge
+from g3bell.measure import _atom_sums, MeasureKind, measure_total
 from g3bell.model import ORIENTATIONS, product_identity, product_raw
 
 from _exact import Poly
@@ -58,11 +59,10 @@ SCALAR = MeasureKind.SCALAR_WEIGHTS
 DIRECTED = MeasureKind.DIRECTED_TRIVECTOR
 
 
-def _atom_sum(form, unit):
-    # expectation's sum over the two atoms, with weights p and 1 - p times the
-    # kind's unit; expectation itself rejects a polynomial p in its range check.
-    plus, minus = (form(A, B, hv) for hv in ORIENTATIONS)
-    return gp(plus.scale(P), unit) + gp(minus.scale(1 - P), unit)
+def _expectation(form, kind):
+    # The atom sum that expectation and sweep run, at the one point (p, 1 - p);
+    # OrientationDistribution rejects a polynomial p in its range check.
+    return Multivector(tuple(column[0] for column in _atom_sums(form, A, B, kind, [(P, 1 - P)])))
 
 
 def _closed_form(kind, s):
@@ -86,17 +86,17 @@ def test_measure_totals_are_one_and_the_pseudoscalar_for_every_p():
 def test_expectation_is_its_closed_form(form, s, kind):
     # Scalar weights: -a.b - s(a^b), grades {0, 2}.  Directed: s(a x b) - (a.b)I,
     # grades {1, 3}, so its scalar part is identically zero.
-    assert _atom_sum(form, _UNIT[kind]) == _closed_form(kind, s)
+    assert _expectation(form, kind) == _closed_form(kind, s)
 
 
 @pytest.mark.parametrize("kind", [SCALAR, DIRECTED], ids=["scalar", "directed"])
 def test_identity_form_leaks_the_cross_term_squared(kind):
     slots = (4, 5, 6) if kind is SCALAR else (1, 2, 3)
-    c = _atom_sum(product_identity, _UNIT[kind]).coeffs
+    c = _expectation(product_identity, kind).coeffs
     n = cross(A, B)
     assert sum(c[i] * c[i] for i in slots) == (2 * P - 1) * (2 * P - 1) * dot(n, n)
 
 
 @pytest.mark.parametrize("form", [product_identity, product_raw], ids=["identity", "raw"])
 def test_directed_scalar_part_is_zero(form):
-    assert _atom_sum(form, I).coeffs[0] == 0
+    assert _expectation(form, DIRECTED).coeffs[0] == 0

@@ -212,7 +212,7 @@ def test_grade_support_union():
     u = a.union(b)
     assert u.present == frozenset({0, 2})
     assert u.max_magnitude == (1.0, 0.0, 2.0, 0.0)
-    assert str(u) == "{0, 2}"
+    assert u.grades() == (0, 2)
 
 
 # --- vectors and validation -------------------------------------------------

@@ -24,7 +24,7 @@ from g3bell.model import (
     product_raw,
 )
 
-from _oracle import reference_p_grid
+from _oracle import reference_expectation, reference_p_grid
 
 TOL = 1e-12
 
@@ -255,10 +255,18 @@ def test_sweep_isotropic_record_off_grid():
     assert swept.isotropic.term_support.present == frozenset({2})
 
 
-# --- the sweep kernel against the definitional expectation -------------------------------
+# --- expectation and the sweep against the expectation as first written ------------------
 
 def _bits(mv):
     return [(c, math.copysign(1.0, c)) for c in mv.coeffs]
+
+
+def _assert_same_result(result, reference):
+    assert _bits(result.value) == _bits(reference.value)
+    assert result.support == reference.support
+    assert result.term_support == reference.term_support
+    assert result.measure_total == reference.measure_total
+    assert result.valid_probability_measure == reference.valid_probability_measure
 
 
 # Axis vectors with signed zeros, and settings whose dot product is subnormal.
@@ -268,6 +276,16 @@ SPECIAL = [Vector3(*v) for v in ((1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (-0.0, 0.0, 
 settings = st.one_of(st.sampled_from(SPECIAL), unit_vectors())
 forms = st.sampled_from([product_identity, product_raw])
 kinds = st.sampled_from([SCALAR, DIRECTED])
+weights = st.one_of(probabilities, st.sampled_from([0.0, 0.5, 1.0, 5e-324, 1.0 - 2.0 ** -53]))
+
+
+@given(forms, settings, settings, kinds, weights)
+@example(product_identity, E1V, E2V, SCALAR, 0.5)  # the terms cancel to +0.0
+@example(product_identity, Vector3(0.0, 0.0, 1.0), Vector3(0.0, 1.0, 5e-324), DIRECTED, 0.5)
+def test_expectation_bitwise_equals_reference(form, a, b, kind, p):
+    dist = OrientationDistribution(p)
+    _assert_same_result(expectation(form, a, b, dist, kind),
+                        reference_expectation(form, a, b, dist, kind))
 
 
 def grids():
@@ -283,13 +301,13 @@ def test_sweep_values_bitwise_equal_expectation(form, a, b, kind, grid):
     swept = sweep(form, a, b, kind, grid)
     assert swept.grid == grid
     assert len(swept.values) == len(grid)
-    union = GradeSupport.empty()
+    union = GradeSupport(frozenset(), (0.0,) * 4)
     for p, value in zip(grid, swept.values):
-        reference = expectation(form, a, b, OrientationDistribution(p), kind)
+        reference = reference_expectation(form, a, b, OrientationDistribution(p), kind)
         assert _bits(value) == _bits(reference.value)
         union = union.union(reference.support)
     assert swept.support == union
-    assert swept.isotropic == expectation(form, a, b, ISOTROPIC, kind)
+    _assert_same_result(swept.isotropic, reference_expectation(form, a, b, ISOTROPIC, kind))
 
 
 # Grids of one point, and the endpoints-only grid p_grid(1.0) == (0.0, 1.0).
@@ -309,7 +327,8 @@ def test_sweep_grade_norms_bitwise_equal_grade_norm(form, a, b, kind, grid):
         assert swept.support.max_magnitude[k].hex() == \
             max(value.grade_norm(k) for value in swept.values).hex()
     # A slot that is zero under both single-atom measures is +0.0 at every p.
-    ends = [expectation(form, a, b, OrientationDistribution(p), kind).value for p in (0.0, 1.0)]
+    ends = [reference_expectation(form, a, b, OrientationDistribution(p), kind).value
+            for p in (0.0, 1.0)]
     for slot in range(8):
         if all(end.coeffs[slot] == 0.0 for end in ends):
             assert all(math.copysign(1.0, v.coeffs[slot]) == 1.0 and v.coeffs[slot] == 0.0
