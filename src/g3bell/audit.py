@@ -26,6 +26,7 @@ from .ga import (
     ensure_unit,
     grade_audit,
     grade_project,
+    _max_magnitude,
 )
 from .model import ORIENTATIONS, PRODUCT_FORMS, ProductForm
 from .measure import MeasureKind, measure_total_columns, p_grid, p_grid_size, sweep
@@ -301,10 +302,10 @@ def _identity_check(pr: _AuditedPair, tol: float) -> dict:
             "raw": _mv_dict(values["raw"]),
             "max_coeff_diff": values["identity"].max_abs_diff(values["raw"]),
         } for label, values in (("orientation_plus", plus), ("orientation_minus", minus))},
-        "scalar_parts_match_minus_dot": _close(
-            max(abs(mv.coeffs[0] - (-pr.dot)) for mv in pr.every_product()), 1.0, tol),
-        "bivector_magnitudes_match_cross_norm": _close(
-            max(abs(mv.grade_norm(2) - pr.cross_norm) for mv in pr.every_product()), 1.0, tol),
+        "scalar_parts_match_minus_dot": _close(_max_magnitude(
+            [abs(mv.coeffs[0] - (-pr.dot)) for mv in pr.every_product()]), 1.0, tol),
+        "bivector_magnitudes_match_cross_norm": _close(_max_magnitude(
+            [abs(mv.grade_norm(2) - pr.cross_norm) for mv in pr.every_product()]), 1.0, tol),
         "raw_orientation_independent": plus["raw"].max_abs_diff(minus["raw"]) <= tol,
         "identity_bivector_flips_with_orientation":
             grade_project(plus["identity"] + minus["identity"], 2).max_abs_coeff() <= tol,
@@ -366,7 +367,7 @@ def _functional_range(pr: _AuditedPair) -> dict:
     entry: dict = {}
     for form in _FORMS:
         swept = pr.sweeps[form][MeasureKind.DIRECTED_TRIVECTOR]
-        max_scalar = max(map(abs, swept.columns[0]))
+        max_scalar = _max_magnitude(list(map(abs, swept.columns[0])))
         entry[form] = {
             "max_abs_scalar_component": max_scalar,
             "nonzero_scalar_attained": max_scalar > 0.0,
@@ -423,7 +424,8 @@ class Claim:
          "both product forms, every audited pair, both orientations: grade-0 equals "
          "-dot(a,b), grade-2 magnitude equals |cross(a,b)|, grades 1 and 3 vanish")
 def _observable_product_splits(doc, pairs):
-    grade13 = max(mv.grade_norm(g) for pr in pairs for mv in pr.every_product() for g in (1, 3))
+    grade13 = _max_magnitude([mv.grade_norm(g) for pr in pairs for mv in pr.every_product()
+                              for g in (1, 3)])
     ok = all(c["scalar_parts_match_minus_dot"] and c["bivector_magnitudes_match_cross_norm"]
              for c in doc["identity_check"].values())
     return ok and grade13 <= doc["config"]["tolerance"], {"max_offgrade_magnitude": grade13}
@@ -484,12 +486,16 @@ def _orthogonal_zero_graded(doc, pairs):
          "identity form, every pair and grid point: the grade-2 leak (scalar weights) and "
          "grade-1 leak (directed) match |2p-1|*|cross(a,b)| within tolerance")
 def _nonisotropic_leak(doc, pairs):
-    worst = 0.0
+    # Every sweep of one audit runs over the same grid.
+    grid = pairs[0].sweeps["identity"][_KINDS[0]].grid
+    leak = [abs(2.0 * p - 1.0) for p in grid]
+    worst = [0.0]
     for pr in pairs:
         for kind, (_, cross_grade) in _GRADES_FED.items():
-            swept = pr.sweeps["identity"][kind]
-            for p, norm in zip(swept.grid, swept.grade_norms[cross_grade]):
-                worst = max(worst, abs(norm - abs(2.0 * p - 1.0) * pr.cross_norm))
+            norms = pr.sweeps["identity"][kind].grade_norms[cross_grade]
+            worst.append(_max_magnitude([abs(norm - scale * pr.cross_norm)
+                                         for norm, scale in zip(norms, leak)]))
+    worst = _max_magnitude(worst)
     return _close(worst, 1.0, doc["config"]["tolerance"]), {"max_leak_error": worst}
 
 
@@ -512,8 +518,8 @@ def _directed_total_trivector(doc, pairs):
          "both forms, every pair and grid point: the grade-0 component of the directed "
          "expectation stays within tolerance of zero")
 def _directed_scalar_range_empty(doc, pairs):
-    worst = max(entry[form]["max_abs_scalar_component"]
-                for entry in doc["functional_range"].values() for form in _FORMS)
+    worst = _max_magnitude([entry[form]["max_abs_scalar_component"]
+                            for entry in doc["functional_range"].values() for form in _FORMS])
     return worst <= doc["config"]["tolerance"], {"max_abs_scalar_component": worst}
 
 
@@ -623,6 +629,8 @@ def _json_walk(obj, pad: str, put: Callable[[str], None]) -> None:
         if not obj:
             put("[]")
             return
+        if _json_table(obj, pad, put):
+            return
         inner = pad + "  "
         comma = "," + inner
         sep = "[" + inner
@@ -641,6 +649,60 @@ def _json_walk(obj, pad: str, put: Callable[[str], None]) -> None:
         put(int.__repr__(obj))
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _json_table(rows, pad: str, put: Callable[[str], None]) -> bool:
+    """Put the JSON of a non-empty list of rows that share one layout, and
+    return True; return False, having put nothing, for any other list.  A row
+    is a dict whose values are floats or dicts of floats, with its keys, and
+    those of each nested dict, in the first row's order.  Every row is written
+    through one ``%`` template built from the first row's quoted keys; any
+    other leaf type (int, bool, a float subclass) is left to the walk."""
+    first = rows[0]
+    if type(first) is not dict:
+        return False
+    keys = tuple(first)
+    # Per key, the keys of its nested dict, or None for a float.
+    nested = tuple(tuple(v) if type(v) is dict else None for v in first.values())
+    if {*map(type, keys)}.union(*(map(type, sub) for sub in nested if sub)) - {str}:
+        return False
+    leaves: list = []
+    for row in rows:
+        # Tuples, not keys views: a view compares as a set and ignores order.
+        if type(row) is not dict or tuple(row) != keys:
+            return False
+        for value, sub in zip(row.values(), nested):
+            if sub is None:
+                leaves.append(value)
+            elif type(value) is dict and tuple(value) == sub:
+                leaves.extend(value.values())
+            else:
+                return False
+    if {*map(type, leaves)} - {float}:
+        return False
+    # Mapped in document order, so the first non-finite leaf raises, as in the walk.
+    texts = tuple(map(_json_float, leaves))
+    n = len(texts) // len(rows)
+    inner = pad + "  "
+    row = _json_template(first, inner)
+    head, rest = "[" + inner + row, "," + inner + row
+    # One piece per row: a table joined into one string (about 180 KB on a
+    # 501-point grid) raised the sweep_fine benchmark's peak RSS by about 2 MB.
+    for i in range(len(rows)):
+        put((rest if i else head) % texts[i * n:i * n + n])
+    put(pad + "]")
+    return True
+
+
+def _json_template(layout: dict, pad: str) -> str:
+    """``layout`` as a ``%`` template with one ``%s`` per float."""
+    if not layout:
+        return "{}"
+    inner = pad + "  "
+    return "{" + inner + ("," + inner).join(
+        _quote(key).replace("%", "%%") + ": "
+        + (_json_template(value, inner) if type(value) is dict else "%s")
+        for key, value in layout.items()) + pad + "}"
 
 
 def emit(report: AuditReport, output_format: str | None = None) -> str:

@@ -113,7 +113,12 @@ class Multivector:
         """Euclidean magnitude of the grade-k component."""
         if k not in GRADE_SLOTS:
             raise ValueError(f"grade index must be 0..3, got {k!r}")
-        return math.sqrt(sum(self.coeffs[i] ** 2 for i in GRADE_SLOTS[k]))
+        # Added left to right, as the builtin sum did before Python 3.12
+        # compensated it, so a norm has the same bits on every interpreter.
+        squares = 0.0
+        for i in GRADE_SLOTS[k]:
+            squares += self.coeffs[i] ** 2
+        return math.sqrt(squares)
 
     def max_abs_coeff(self) -> float:
         """Largest coefficient magnitude; NaN if any coefficient is NaN."""

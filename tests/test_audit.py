@@ -5,6 +5,7 @@ import gc
 import io
 import json
 import math
+import random
 import sys
 from pathlib import Path
 
@@ -395,6 +396,31 @@ def test_negated_identity_product_refutes_the_split(monkeypatch, capsys):
     assert f"{split['statement']}: refuted\n" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("key, slot, refuted", [
+    # The split claim reads the grade-2 norm, the leak claim the sweep's grade-2 norms.
+    (ORTHO_KEY, 4, {"observable_product_splits", "scalar_weight_codomain", "directed_codomain",
+                    "orthogonal_zero_graded", "nonisotropic_leak"}),
+    # Grade 3 feeds the split's off-grade maximum and, times I, the directed scalar.
+    (GENERIC_KEY, 7, {"observable_product_splits", "directed_scalar_range_empty"}),
+    (ORTHO_KEY, 0, {"observable_product_splits", "orthogonal_zero_graded"}),
+], ids=["bivector", "trivector", "scalar"])
+def test_planted_nan_refutes_the_claims_that_read_it(monkeypatch, key, slot, refuted):
+    # One NaN coefficient in one identity product, at orientation -1.
+    identity = PRODUCT_FORMS["identity"]
+
+    def planted(a, b, hv):
+        mv = identity(a, b, hv)
+        if hv.orientation == -1 and pair_key(a, b) == key:
+            coeffs = list(mv.coeffs)
+            coeffs[slot] = math.nan
+            return Multivector(tuple(coeffs))
+        return mv
+
+    monkeypatch.setitem(PRODUCT_FORMS, "identity", planted)
+    claims = run_audit(AuditConfig(p_step=0.25, **FAST)).document["claims"]
+    assert {c["id"] for c in claims if c["verdict"] == REFUTED} == refuted
+
+
 def test_audit_evaluates_each_product_form_twice_per_pair(monkeypatch):
     # Wrapped as the benchmark harness wraps them: each PRODUCT_FORMS entry, and
     # expectation in every g3bell namespace that holds it.
@@ -665,15 +691,62 @@ json_floats = st.one_of(
     st.sampled_from(EDGE_FLOATS + [-x for x in EDGE_FLOATS]),
     st.floats(allow_nan=False, allow_infinity=False),
 )
-json_strings = st.text(alphabet=st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600'),
+json_strings = st.text(alphabet=st.one_of(st.sampled_from('"\\/%\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600'),
                                           st.characters()), max_size=8)
 json_leaves = st.one_of(json_floats, st.integers(), st.booleans(), st.none(), json_strings)
+
+
+class _Float(float):
+    pass
+
+
+_table_keys = st.lists(st.one_of(json_strings, st.sampled_from(["p", "value", "%s", "%%"])),
+                       max_size=3, unique=True)
+
+
+@st.composite
+def json_tables(draw):
+    """A list of 2-8 rows of one layout (dicts of floats and of dicts of
+    floats, the shape the JSON writer renders from one template), or a near
+    miss: the keys of one row or one of its nested dicts reordered, one leaf
+    an int, bool or float subclass, or non-finite leaves in late rows."""
+    layout = {key: draw(st.none() | _table_keys) for key in draw(_table_keys)}
+
+    def row():
+        return {key: draw(json_floats) if sub is None else {s: draw(json_floats) for s in sub}
+                for key, sub in layout.items()}
+
+    rows = [row() for _ in range(draw(st.integers(2, 8)))]
+    # Each leaf as (row index, the dict that holds it, its key).
+    leaves = [(i, holder, key) for i, r in enumerate(rows)
+              for holder in (r, *(v for v in r.values() if isinstance(v, dict)))
+              for key, value in holder.items() if isinstance(value, float)]
+    miss = draw(st.sampled_from(["none", "reorder", "int", "bool", "subclass", "non-finite"]))
+    if miss == "reorder":
+        i = draw(st.integers(0, len(rows) - 1))
+        nested = [key for key, value in rows[i].items() if isinstance(value, dict)]
+        key = draw(st.sampled_from([None, *nested]))
+        if key is None:
+            rows[i] = dict(reversed(rows[i].items()))
+        else:
+            rows[i][key] = dict(reversed(rows[i][key].items()))
+    elif miss == "non-finite":
+        late = [leaf for leaf in leaves if 2 * leaf[0] >= len(rows)]
+        for _, holder, key in draw(st.lists(st.sampled_from(late), max_size=2)) if late else ():
+            holder[key] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif miss != "none" and leaves:
+        _, holder, key = draw(st.sampled_from(leaves))
+        holder[key] = {"int": int, "bool": bool, "subclass": _Float}[miss](holder[key] % 7)
+    return rows
+
+
 json_trees = st.recursive(
     json_leaves,
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
         st.dictionaries(json_strings, children, max_size=4),
+        json_tables(),
     ),
     max_leaves=40,
 )
@@ -687,21 +760,65 @@ def _emitted(emitter, tree):
         return type(exc)
 
 
+def _document_or_error(tree):
+    """The document, or the exception the emitter raised and its message."""
+    try:
+        return _json_document(tree)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def _walked(tree):
+    """``_document_or_error`` with every list left to the walk."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(audit, "_json_table", lambda rows, pad, put: False)
+        return _document_or_error(tree)
+
+
+def _has_non_finite(tree) -> bool:
+    if isinstance(tree, float):
+        return not math.isfinite(tree)
+    if isinstance(tree, dict):
+        return any(map(_has_non_finite, tree.values()))
+    return isinstance(tree, (list, tuple)) and any(map(_has_non_finite, tree))
+
+
 def _reject_constant(token):
     raise ValueError(f"non-finite JSON token {token}")
 
 
 @given(json_trees)
+@example([{"p": 0.0, "value": {"%s": -0.0, "e\u00e9": 1.7976931348623157e308}}] * 2)
+@example([{"p": 0.5, "%d": {}}, {"%d": {}, "p": 0.5}])
+@example([{"a": 1.0, "b": 2.0}, {"b": 2.0, "a": 1.0}])
+@example([{"p": 0.5, "v": {"a": 1.0, "b": 2.0}}, {"p": 0.5, "v": {"b": 2.0, "a": 1.0}}])
+@example([{"v": {"a": 1.0}}, {"v": {"b": 1.0}}])
+@example([{"p": 0.5, "v": {"a": 1.0}}, {"p": 0.5, "v": {"a": True}}])
+@example([{"p": 0.5, "v": {"a": 1.0}}, {"p": _Float(0.5), "v": {"a": 1.0}}])
+@example([{"p": 0.5}, {"p": math.inf}, {"p": math.nan}])
 def test_json_document_matches_stdlib_encoder(tree):
     expected = _emitted(reference_emit_json, tree)
     got = _emitted(_json_document, tree)
-    if expected is ValueError:
-        # The trees hold no NaN or inf, so the stdlib path failed on a float
-        # that rounds past the largest one; the emitter writes it unrounded.
+    if expected is ValueError and not _has_non_finite(tree):
+        # The stdlib path failed on a float that rounds past the largest one;
+        # the emitter writes it unrounded.
         assert isinstance(got, str)
         json.loads(got, parse_constant=_reject_constant)
     else:
         assert got == expected
+    # The table path writes what the walk writes, and raises where it raises.
+    assert _document_or_error(tree) == _walked(tree)
+
+
+def test_sweep_fine_shaped_report_emits_the_oracles_bytes():
+    # A 501-point grid over 19 pairs: 19 probe tables of 501 rows each.
+    rng = random.Random(16)
+    units = [Vector3(*(rng.gauss(0.0, 1.0) for _ in range(3))).normalized() for _ in range(32)]
+    pairs = tuple(zip(units[::2], units[1::2]))
+    report = run_audit(AuditConfig(p_step=0.002, trials=100, seed=16, output_format="json",
+                                   extra_pairs=pairs))
+    assert len(report.document["functional_range"]) == 19
+    assert emit(report, "json") == reference_emit_json(report.document)
 
 
 @pytest.mark.parametrize("x, text", [

@@ -409,3 +409,19 @@ def test_raw_form_keeps_constant_bivector_under_scalar_weights(a, b, p):
 def test_raw_form_directed_scalar_part_vanishes(a, b, p):
     result = expectation(product_raw, a, b, OrientationDistribution(p), DIRECTED)
     assert result.value.grade_norm(0) == 0.0
+
+
+# Squares of (0.3, 0.29, 0.88) added left to right round one ulp away from
+# their correctly rounded sum, which a compensated sum (the builtin sum from
+# Python 3.12 on) returns.
+_SPLIT_SUM = (0.3, 0.29, 0.88)
+_SPLIT_SUM_NORM = math.sqrt((0.3 ** 2 + 0.29 ** 2) + 0.88 ** 2)
+
+
+def test_grade_norms_add_squares_left_to_right():
+    assert _SPLIT_SUM_NORM != math.sqrt(math.fsum(c ** 2 for c in _SPLIT_SUM))
+    mv = Multivector((0.0, *_SPLIT_SUM, *_SPLIT_SUM, 0.0))
+    assert mv.grade_norm(1) == mv.grade_norm(2) == _SPLIT_SUM_NORM
+    # At p = 1 the scalar-weight sweep's value is the + atom's product itself.
+    swept = sweep(lambda a, b, hv: mv, E1V, E2V, SCALAR, (1.0,))
+    assert swept.grade_norms[1] == swept.grade_norms[2] == (_SPLIT_SUM_NORM,)
