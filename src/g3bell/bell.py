@@ -149,34 +149,44 @@ def quantum_target(a: Vector3, b: Vector3) -> float:
     return -dot(a, b)
 
 
-def _standard_normals(rng: random.Random) -> Iterator[float]:
-    """The values of successive ``rng.gauss(0.0, 1.0)`` calls, draw for draw.
+def _unit_vectors(rng: random.Random) -> Iterator[Vector3]:
+    """Uniform directions, each a normalized triple of the values of three
+    successive ``rng.gauss(0.0, 1.0)`` calls, draw for draw; a triple of norm
+    at most 1e-6 is skipped.
 
     Each step is ``Random.gauss``'s Box-Muller step, its ``mu + z * sigma``
-    included.  The generator holds the pending second value as ``gauss_next``
-    does, so ``rng.random()`` may be drawn between normals.
+    included, and three steps make two triples.  The third step is drawn only
+    once the first triple is taken, as ``gauss`` holds its pending second value
+    in ``gauss_next``, so ``rng.random()`` may be drawn between vectors.
     """
     uniform = rng.random
     cos, sin, log, sqrt, tau = math.cos, math.sin, math.log, math.sqrt, math.tau
     while True:
         x2pi = uniform() * tau
         g2rad = sqrt(-2.0 * log(1.0 - uniform()))
-        yield 0.0 + cos(x2pi) * g2rad * 1.0
-        yield 0.0 + sin(x2pi) * g2rad * 1.0
-
-
-def _unit_vector(normal: Callable[[], float]) -> Vector3:
-    """Uniform direction via a normalized triple of standard normals."""
-    while True:
-        x, y, z = normal(), normal(), normal()
-        n = math.sqrt(x * x + y * y + z * z)
+        x, y = 0.0 + cos(x2pi) * g2rad, 0.0 + sin(x2pi) * g2rad
+        x2pi = uniform() * tau
+        g2rad = sqrt(-2.0 * log(1.0 - uniform()))
+        z, x2 = 0.0 + cos(x2pi) * g2rad, 0.0 + sin(x2pi) * g2rad
+        n = sqrt(x * x + y * y + z * z)
         if n > 1e-6:
-            return Vector3(x / n, y / n, z / n)
+            yield Vector3(x / n, y / n, z / n)
+        x2pi = uniform() * tau
+        g2rad = sqrt(-2.0 * log(1.0 - uniform()))
+        y, z = 0.0 + cos(x2pi) * g2rad, 0.0 + sin(x2pi) * g2rad
+        n = sqrt(x2 * x2 + y * y + z * z)
+        if n > 1e-6:
+            yield Vector3(x2 / n, y / n, z / n)
 
 
 def random_unit_vector(rng: random.Random) -> Vector3:
-    """Uniform direction via a normalized Gaussian triple."""
-    return _unit_vector(lambda: rng.gauss(0.0, 1.0))
+    """Uniform direction via a normalized Gaussian triple drawn through
+    ``rng.gauss``; a triple of norm at most 1e-6 is redrawn."""
+    while True:
+        x, y, z = rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)
+        n = math.sqrt(x * x + y * y + z * z)
+        if n > 1e-6:
+            return Vector3(x / n, y / n, z / n)
 
 
 # A split run folds each half, at least 1,000 trials or about 28 ms of a
@@ -188,14 +198,14 @@ _SPLIT_MIN_TRIALS = 2000
 _DRAWS_PER_TRIAL = 13
 
 
-def _fold(fns: Sequence[ScalarizerFn], rng: random.Random, normal: Callable[[], float],
+def _fold(fns: Sequence[ScalarizerFn], rng: random.Random, vector: Callable[[], Vector3],
           trials: int, worst: list[float]) -> None:
     """Fold ``trials`` trials into ``worst``: Max |S| per scalarizer, raised
     only by a strictly larger value, so a NaN is never stored."""
     plus, minus = ORIENTATIONS
     for _ in range(trials):
         # Drawn unit and in [0, 1), in ChshScenario's order, so left unchecked.
-        a, a2, b, b2 = [_unit_vector(normal) for _ in range(4)]
+        a, a2, b, b2 = vector(), vector(), vector(), vector()
         wp = rng.random()
         wm = 1.0 - wp
         for k, fn in enumerate(fns):
@@ -243,7 +253,7 @@ def _advanced(seed: int, draws: int) -> random.Random:
 def _fork_fold(fns: Sequence[ScalarizerFn], rng: random.Random,
                trials: int) -> tuple[int, int] | None:
     """Fork a child that folds ``trials`` trials from ``rng`` with a fresh
-    normal generator and writes its maxima to a pipe as ``<d`` doubles;
+    unit-vector generator and writes its maxima to a pipe as ``<d`` doubles;
     return the child's pid and the pipe's read end, or None when no pipe or
     process can be had.  The child writes nothing else and always ends in
     ``os._exit``: 0 once its maxima are written, 1 on any exception."""
@@ -264,7 +274,7 @@ def _fork_fold(fns: Sequence[ScalarizerFn], rng: random.Random,
     try:
         os.close(read_fd)
         worst = [0.0] * len(fns)
-        _fold(fns, rng, _standard_normals(rng).__next__, trials, worst)
+        _fold(fns, rng, _unit_vectors(rng).__next__, trials, worst)
         with open(write_fd, "wb") as pipe:
             pipe.write(struct.pack(f"<{len(worst)}d", *worst))
         status = 0
@@ -295,7 +305,7 @@ def scalarizer_maxima(scalarizers: Sequence[Scalarizer], trials: int,
         raise ValueError(f"trials must be an int >= 1, got {trials!r}")
     fns = [s.fn for s in scalarizers]
     rng = random.Random(seed)
-    normal = _standard_normals(rng).__next__
+    vector = _unit_vectors(rng).__next__
     worst = [0.0] * len(fns)
     child = None
     if _splits(trials):
@@ -303,12 +313,12 @@ def scalarizer_maxima(scalarizers: Sequence[Scalarizer], trials: int,
         ahead = _advanced(seed, _DRAWS_PER_TRIAL * (trials - tail))
         child = _fork_fold(fns, ahead, tail)
     if child is None:
-        _fold(fns, rng, normal, trials, worst)
+        _fold(fns, rng, vector, trials, worst)
         return tuple(worst)
     pid, read_fd = child
     with open(read_fd, "rb") as pipe:
         try:
-            _fold(fns, rng, normal, trials - tail, worst)
+            _fold(fns, rng, vector, trials - tail, worst)
             data = pipe.read()
         except BaseException:
             import signal  # imported here only, to keep it off the start-up path
@@ -319,7 +329,7 @@ def scalarizer_maxima(scalarizers: Sequence[Scalarizer], trials: int,
     if status == 0 and len(data) == 8 * len(fns) and rng.getstate() == ahead.getstate():
         tail_worst = struct.unpack(f"<{len(fns)}d", data)
         return tuple(t if t > h else h for h, t in zip(worst, tail_worst))
-    _fold(fns, rng, normal, tail, worst)
+    _fold(fns, rng, vector, tail, worst)
     return tuple(worst)
 
 

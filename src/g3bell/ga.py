@@ -49,7 +49,7 @@ def _max_magnitude(magnitudes: list[float]) -> float:
     return math.nan if any(map(math.isnan, magnitudes)) else max(magnitudes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Vector3:
     """A vector of 3-D Euclidean space, components along e1, e2, e3."""
 
@@ -74,7 +74,7 @@ class Vector3:
         return (self.x, self.y, self.z)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Multivector:
     """An element of G3 as 8 coefficients in the fixed basis order."""
 
@@ -113,11 +113,13 @@ class Multivector:
         """Euclidean magnitude of the grade-k component."""
         if k not in GRADE_SLOTS:
             raise ValueError(f"grade index must be 0..3, got {k!r}")
-        # Added left to right, as the builtin sum did before Python 3.12
-        # compensated it, so a norm has the same bits on every interpreter.
+        # Squared as products, not through libm's pow, and added left to right,
+        # as the builtin sum did before Python 3.12 compensated it, so a norm
+        # has the same bits on every interpreter and C library.
         squares = 0.0
         for i in GRADE_SLOTS[k]:
-            squares += self.coeffs[i] ** 2
+            c = self.coeffs[i]
+            squares += c * c
         return math.sqrt(squares)
 
     def max_abs_coeff(self) -> float:
@@ -158,7 +160,7 @@ I = Multivector.blade(7)
 BASIS = (ONE, E1, E2, E3, E12, E13, E23, I)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GradeSupport:
     """Which grades a value (or a family of values) occupies.
 

@@ -24,6 +24,7 @@ from .ga import (
     ONE,
     Multivector,
     Vector3,
+    _max_magnitude,
     grade_audit,
     gp,
 )
@@ -168,11 +169,12 @@ def sweep(product_fn: ProductForm, a: Vector3, b: Vector3, kind: MeasureKind,
 
     Each value is the atom sum that ``expectation`` computes, run over the
     grid, so it equals ``expectation(...).value`` bitwise.  A grade norm is
-    ``grade_norm``'s root of the squares added left to right from 0.0, over
-    the grade's slots that are nonzero somewhere on the grid, in slot order:
-    each dropped term is ``(+-0.0) ** 2``, that is +0.0, and adding +0.0 to a
-    sum of squares changes no bit.  The support peaks are the maxima of those
-    norms.
+    ``grade_norm``'s root of the squares ``c * c`` added left to right from
+    0.0, over the grade's slots that are nonzero somewhere on the grid, in slot
+    order: each dropped term is ``(+-0.0) * (+-0.0)``, that is +0.0, and adding
+    +0.0 to a sum of squares changes no bit.  The support peaks are the maxima
+    of those norms, NaN where a norm is NaN, and a grade with a NaN peak counts
+    as absent.
     """
     grid = tuple(grid)
     # One pass checks the grid (a NaN fails both comparisons) and weighs it.
@@ -186,9 +188,9 @@ def sweep(product_fn: ProductForm, a: Vector3, b: Vector3, kind: MeasureKind,
         squares = zeros
         for i in GRADE_SLOTS[k]:
             if any(columns[i]):
-                squares = [s + c ** 2 for s, c in zip(squares, columns[i])]
+                squares = [s + c * c for s, c in zip(squares, columns[i])]
         grade_norms.append(zeros if squares is zeros else tuple(map(math.sqrt, squares)))
-    peaks = tuple(max(norms) for norms in grade_norms)
+    peaks = tuple(map(_max_magnitude, grade_norms))
     return Sweep(
         grid=grid,
         columns=tuple(columns),

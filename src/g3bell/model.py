@@ -24,7 +24,7 @@ from .ga import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HiddenVariable:
     """Complete state of the model: an orientation selecting mu = lambda*I.
 

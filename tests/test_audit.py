@@ -400,10 +400,14 @@ def test_negated_identity_product_refutes_the_split(monkeypatch, capsys):
     # The split claim reads the grade-2 norm, the leak claim the sweep's grade-2 norms.
     (ORTHO_KEY, 4, {"observable_product_splits", "scalar_weight_codomain", "directed_codomain",
                     "orthogonal_zero_graded", "nonisotropic_leak"}),
-    # Grade 3 feeds the split's off-grade maximum and, times I, the directed scalar.
-    (GENERIC_KEY, 7, {"observable_product_splits", "directed_scalar_range_empty"}),
-    (ORTHO_KEY, 0, {"observable_product_splits", "orthogonal_zero_graded"}),
-], ids=["bivector", "trivector", "scalar"])
+    # Grade 3 feeds the split's off-grade maximum and, times I, the directed scalar;
+    # every planted NaN gives both identity-form sweeps a NaN peak, refuting both codomains.
+    (GENERIC_KEY, 7, {"observable_product_splits", "scalar_weight_codomain", "directed_codomain",
+                      "directed_scalar_range_empty"}),
+    (ORTHO_KEY, 0, {"observable_product_splits", "scalar_weight_codomain", "directed_codomain",
+                    "orthogonal_zero_graded"}),
+    (GENERIC_KEY, 1, {"observable_product_splits", "scalar_weight_codomain", "directed_codomain"}),
+], ids=["bivector", "trivector", "scalar", "vector"])
 def test_planted_nan_refutes_the_claims_that_read_it(monkeypatch, key, slot, refuted):
     # One NaN coefficient in one identity product, at orientation -1.
     identity = PRODUCT_FORMS["identity"]

@@ -13,7 +13,7 @@ from g3bell.model import ORIENTATIONS, OrientationDistribution
 from g3bell.bell import (
     DEFAULT_ANGLES_DEG,
     ChshScenario,
-    _standard_normals,
+    _unit_vectors,
     chsh,
     default_scalarizers,
     lhv_bruteforce_bound,
@@ -197,7 +197,7 @@ def test_scalarizer_audit_rejects_bad_trials(monkeypatch):
     with pytest.raises(ValueError):
         scalarizer_audit(ORIENT_SIGN, trials=0, seed=1)
     # Rejected before any draw or fork, like AuditConfig's trials.
-    monkeypatch.setattr(bell, "_standard_normals", None)
+    monkeypatch.setattr(bell, "_unit_vectors", None)
     monkeypatch.setattr(os, "fork", None, raising=False)
     for trials in (True, False, 2.5, 2000.0, "10"):
         with pytest.raises(ValueError, match="trials"):
@@ -233,18 +233,44 @@ def test_sampler_matches_reference_vectors_and_rng_state(seed):
     assert fast_rng.getstate() == ref_rng.getstate()
 
 
+class _ZeroedDraws(random.Random):
+    """A ``random.Random`` whose ``random()`` returns 0.0 at the given draw
+    indices, counted from 0, and counts its draws.  A zero second uniform of a
+    Box-Muller step makes both of its normals zero."""
+
+    def __init__(self, seed, zeros):
+        super().__init__(seed)
+        self.zeros = frozenset(zeros)
+        self.draws = 0
+
+    def random(self):
+        u = super().random()
+        self.draws += 1
+        return 0.0 if self.draws - 1 in self.zeros else u
+
+
 @pytest.mark.parametrize("seed", [0, 1, 42, 2024, 99])
-def test_standard_normals_are_random_gauss(seed):
-    # A uniform draw follows every third normal, so it comes both while the
-    # second value of a pair is pending and after a pair is used up, as the
-    # Monte Carlo's weight does after a rejected triple and after a full trial.
-    fast, ref = random.Random(seed), random.Random(seed)
-    normal = _standard_normals(fast).__next__
-    for i in range(3000):
-        assert normal().hex() == ref.gauss(0.0, 1.0).hex()
-        if i % 3 == 0:
+@pytest.mark.parametrize("zeros, extra_draws", [
+    ((), 0),
+    ({1, 3}, 4),  # rejects the first triple of a step pair
+    ({3, 5}, 4),  # rejects the second triple
+    ({5, 7}, 0),  # zeroes normals of two triples, rejecting neither
+    ({1, 3, 5}, 6),  # rejects both triples in a row
+    ({27, 29}, 4),  # rejects the first triple of the third trial, after two weights
+], ids=["none", "first", "second", "straddling", "both", "third_trial"])
+def test_unit_vectors_are_reference_unit_vectors(seed, zeros, extra_draws):
+    # A weight draw follows every fourth vector, as in the Monte Carlo; after a
+    # rejected triple it falls while a normal is pending.
+    fast, ref = _ZeroedDraws(seed, zeros), _ZeroedDraws(seed, zeros)
+    vector = _unit_vectors(fast).__next__
+    for i in range(40):
+        assert ([c.hex() for c in vector().components()]
+                == [c.hex() for c in reference_unit_vector(ref).components()])
+        if i % 4 == 3:
             assert fast.random() == ref.random()
-    assert fast.random() == ref.random()
+    assert fast.draws == ref.draws == 13 * 10 + extra_draws
+    # The reference keeps a pending normal in gauss_next, the generator in its frame.
+    assert fast.getstate()[1] == ref.getstate()[1]
 
 
 class _ScriptedGauss:
@@ -328,31 +354,32 @@ def test_split_takes_the_tail_from_the_child(forks):
 
 
 def _reject_one_triple(monkeypatch, index):
-    """Have the first normal generator made from now on shrink its normals
-    ``index`` to ``index + 2`` into a triple that the sampler rejects, so that
-    trial draws more than 13 uniforms.  A child forked afterwards makes its own
-    generator and keeps the plain stream."""
-    real = bell._standard_normals
+    """Have the first unit-vector generator made from now on drop its vector
+    ``index``, whose triple is then drawn and unused as a rejected one is, so
+    that trial draws more than 13 uniforms.  A child forked afterwards makes
+    its own generator and keeps the plain stream."""
+    real = bell._unit_vectors
     made = []
 
-    def shrunk(stream):
-        for i, x in enumerate(stream):
-            yield x * 1e-9 if index <= i < index + 3 else x
+    def dropped(stream):
+        for i, v in enumerate(stream):
+            if i != index:
+                yield v
 
-    def normals(rng):
+    def vectors(rng):
         stream = real(rng)
         if made:
             return stream
         made.append(rng)
-        return shrunk(stream)
+        return dropped(stream)
 
-    monkeypatch.setattr(bell, "_standard_normals", normals)
+    monkeypatch.setattr(bell, "_unit_vectors", vectors)
 
 
 @pytest.mark.parametrize("seed", [4, 5, 6])
 def test_split_falls_back_when_the_head_rejects_a_triple(seed, monkeypatch, forks):
     _require_split(SPLIT_TRIALS)
-    index = 12 * 500  # the first triple of trial 500, in the head
+    index = 4 * 500  # the first vector of trial 500, in the head
     with monkeypatch.context() as m:
         _in_process(m)
         _reject_one_triple(m, index)

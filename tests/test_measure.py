@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, assume
@@ -415,13 +416,27 @@ def test_raw_form_directed_scalar_part_vanishes(a, b, p):
 # their correctly rounded sum, which a compensated sum (the builtin sum from
 # Python 3.12 on) returns.
 _SPLIT_SUM = (0.3, 0.29, 0.88)
-_SPLIT_SUM_NORM = math.sqrt((0.3 ** 2 + 0.29 ** 2) + 0.88 ** 2)
+_SPLIT_SUM_NORM = math.sqrt((0.3 * 0.3 + 0.29 * 0.29) + 0.88 * 0.88)
 
 
 def test_grade_norms_add_squares_left_to_right():
-    assert _SPLIT_SUM_NORM != math.sqrt(math.fsum(c ** 2 for c in _SPLIT_SUM))
+    assert _SPLIT_SUM_NORM != math.sqrt(math.fsum(c * c for c in _SPLIT_SUM))
     mv = Multivector((0.0, *_SPLIT_SUM, *_SPLIT_SUM, 0.0))
     assert mv.grade_norm(1) == mv.grade_norm(2) == _SPLIT_SUM_NORM
     # At p = 1 the scalar-weight sweep's value is the + atom's product itself.
     swept = sweep(lambda a, b, hv: mv, E1V, E2V, SCALAR, (1.0,))
     assert swept.grade_norms[1] == swept.grade_norms[2] == (_SPLIT_SUM_NORM,)
+
+
+# A libm pow may round c ** 2 away from the exactly rounded square; the square of
+# 0.6486850258817574 is one such case for glibc 2.36, and it moves the norm.
+_POW_SENSITIVE = (0.8050594286638928, 0.1790104140753379, 0.6486850258817574)
+
+
+def test_grade_norms_use_exactly_rounded_squares():
+    squares = [float(Fraction(c) ** 2) for c in _POW_SENSITIVE]
+    norm = math.sqrt((squares[0] + squares[1]) + squares[2])
+    mv = Multivector((0.0, *_POW_SENSITIVE, *_POW_SENSITIVE, 0.0))
+    assert mv.grade_norm(1) == mv.grade_norm(2) == norm
+    swept = sweep(lambda a, b, hv: mv, E1V, E2V, SCALAR, (1.0,))
+    assert swept.grade_norms[1] == swept.grade_norms[2] == (norm,)

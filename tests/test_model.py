@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -43,6 +44,21 @@ def unit_vectors():
         assume(v.norm() > 1e-3)
         return v.normalized()
     return st.tuples(coords, coords, coords).map(build)
+
+
+# --- value types --------------------------------------------------------------
+
+@pytest.mark.parametrize("value, field", [
+    (E1V, "x"),
+    (E12, "coeffs"),
+    (grade_audit(E12), "present"),
+    (PLUS, "orientation"),
+])
+def test_value_types_are_frozen_and_slotted(value, field):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, field, getattr(value, field))
+    assert not hasattr(value, "__dict__")
+    assert type(value).__slots__ == tuple(f.name for f in dataclasses.fields(value))
 
 
 # --- hidden variable and distribution ----------------------------------------
