@@ -298,8 +298,8 @@ def scalarizer_maxima(scalarizers: Sequence[Scalarizer], trials: int,
     head trial, which is where the head ends exactly when it rejects no
     triple; its maxima are used only then, and only if it exited with status
     0 after writing them all.  Otherwise this process folds the tail itself,
-    continuing its own stream.  Either way the maxima, and any exception a
-    scalarizer raises, are those of one sequential fold.
+    continuing its own stream.  So for pure scalarizers only, the maxima and
+    any exception one raises are those of one sequential fold.
     """
     if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
         raise ValueError(f"trials must be an int >= 1, got {trials!r}")

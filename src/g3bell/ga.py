@@ -49,13 +49,19 @@ def _max_magnitude(magnitudes: list[float]) -> float:
     return math.nan if any(map(math.isnan, magnitudes)) else max(magnitudes)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Vector3:
     """A vector of 3-D Euclidean space, components along e1, e2, e3."""
 
     x: float
     y: float
     z: float
+
+    def __init__(self, x: float, y: float, z: float) -> None:
+        # Set through the slot descriptors: cheaper than object.__setattr__ per field.
+        _set_x(self, x)
+        _set_y(self, y)
+        _set_z(self, z)
 
     def norm(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
@@ -74,13 +80,17 @@ class Vector3:
         return (self.x, self.y, self.z)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Multivector:
     """An element of G3 as 8 coefficients in the fixed basis order."""
 
     coeffs: tuple[float, float, float, float, float, float, float, float] = (
         0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
     )
+
+    def __init__(self, coeffs: tuple[float, float, float, float,
+                                     float, float, float, float] = coeffs) -> None:
+        _set_coeffs(self, coeffs)  # as in Vector3; the default is the field's
 
     @classmethod
     def scalar(cls, value: float) -> Multivector:
@@ -147,6 +157,8 @@ class Multivector:
         return out
 
 
+_set_x, _set_y, _set_z = Vector3.x.__set__, Vector3.y.__set__, Vector3.z.__set__
+_set_coeffs = Multivector.coeffs.__set__
 ZERO = Multivector()
 ONE = Multivector.blade(0)
 E1 = Multivector.blade(1)

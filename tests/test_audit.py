@@ -476,6 +476,24 @@ _p_steps = st.sampled_from([0.1, 0.25, 0.5, 1.0])
 # |a.b| = 0.48: orthogonal within a tolerance of 0.49, whose isotropic terms,
 # |a x b|/2 = 0.44, fall below it.
 _HALF_RESOLVED = (Vector3(1.0, 0.0, 0.0), Vector3(0.48, math.sqrt(1.0 - 0.48 ** 2), 0.0))
+# One ulp from the default pair (e1, (e1+e2)/sqrt(2)) in each of two components,
+# so it has that pair's label; _unit_vectors can draw it.
+_LABEL_CLASH = (Vector3(1.0, 0.0, 0.0), Vector3(0.7071067811865476, 0.7071067811865476, 0.0))
+
+
+def _label_clash(extra_pairs) -> bool:
+    """Whether an extra pair has the label of a different default or earlier
+    pair: AuditConfig then raises ValueError, and the CLI exits 2."""
+    labelled = {}
+    for a, b in DEFAULT_PAIRS + tuple(extra_pairs):
+        if labelled.setdefault(pair_key(a, b), (a, b)) != (a, b):
+            return True
+    return False
+
+
+def _assert_label_clash_raises(pair):
+    with pytest.raises(ValueError, match="two different pairs have the label"):
+        AuditConfig(extra_pairs=(pair,))
 
 
 @settings(max_examples=40, deadline=None)
@@ -483,7 +501,11 @@ _HALF_RESOLVED = (Vector3(1.0, 0.0, 0.0), Vector3(0.48, math.sqrt(1.0 - 0.48 ** 
        st.integers(1, 10))
 @example((Vector3(0.6, 0.0, 0.8), Vector3(0.0, 0.6, 0.8)), 0.25, 1e-300, 1e-12, 10)
 @example(_HALF_RESOLVED, 0.1, 0.3, 0.49, 10)
+@example(_LABEL_CLASH, 0.25, 1e-12, 1e-6, 10)
 def test_confirmed_verdicts_stay_confirmed_at_larger_tolerances(pair, p_step, t1, t2, trials):
+    if _label_clash([pair]):
+        _assert_label_clash_raises(pair)
+        return
     low, high = sorted((t1, t2))
     before, after = (run_audit(AuditConfig(tolerance=t, p_step=p_step, trials=trials,
                                            extra_pairs=(pair,))) for t in (low, high))
@@ -535,11 +557,15 @@ def _ulps_away(x: float, n: int) -> float:
 @settings(max_examples=40, deadline=None)
 @given(st.tuples(_unit_vectors, _unit_vectors), st.sampled_from(["dot", "cross", "half_cross"]),
        st.integers(-3, 3), st.integers(1, 10))
+@example(_LABEL_CLASH, "half_cross", 0, 10)
 def test_no_claim_refuted_within_ulps_of_a_closed_form_magnitude(pair, magnitude, n, trials):
     a, b = pair
     at = {"dot": abs(dot(a, b)), "cross": cross(a, b).norm(), "half_cross": cross(a, b).norm() / 2}
     tol = _ulps_away(at[magnitude], n)
     assume(0.0 < tol < 0.5)
+    if _label_clash([pair]):
+        _assert_label_clash_raises(pair)
+        return
     report = run_audit(AuditConfig(tolerance=tol, p_step=0.25, trials=trials, extra_pairs=(pair,)))
     refuted = [c["id"] for c in report.document["claims"] if c["verdict"] == REFUTED]
     assert refuted == [], (tol, magnitude, n)
@@ -934,12 +960,14 @@ def _run_cli(argv):
 @example([("--pair", "-1,0,0:0,1,0")])
 @example([("--pai", "-1,0,0:0,1,0")])  # a prefix that argparse expands
 @example([("--angles", "-45,0,45,90"), ("--pair", "0,-1,0:-0.6,0,-0.8")])
+@example([("--pair", "1.0,0.0,0.0:0.7071067811865476,0.7071067811865476,0.0")])  # _LABEL_CLASH
 def test_cli_space_and_equals_forms_give_identical_output(valid):
     base = ["--trials", "20", "--p-step", "0.25", "--format", "json"]
     spaced = base + [part for flag in valid for part in flag]
     joined = base + [f"{name}={value}" for name, value in valid]
     code, out = _run_cli(spaced)
-    assert code in (0, 1)
+    pairs = [pair_argument(value) for name, value in valid if "--pair".startswith(name)]
+    assert code in ((2,) if _label_clash(pairs) else (0, 1))
     assert (code, out) == _run_cli(joined)
 
 

@@ -1,5 +1,8 @@
+import copy
 import dataclasses
+import inspect
 import math
+import pickle
 
 import pytest
 from hypothesis import given, assume
@@ -12,6 +15,7 @@ from g3bell.ga import (
     Multivector,
     NonUnitVectorError,
     Vector3,
+    ZERO,
     cross,
     dot,
     gp,
@@ -59,6 +63,42 @@ def test_value_types_are_frozen_and_slotted(value, field):
         setattr(value, field, getattr(value, field))
     assert not hasattr(value, "__dict__")
     assert type(value).__slots__ == tuple(f.name for f in dataclasses.fields(value))
+
+
+# The two types the Monte Carlo builds in every trial write their own __init__;
+# each keeps the contract of the one @dataclass would generate.
+@pytest.mark.parametrize("cls, args, signature, defaults, last", [
+    (Vector3, (0.6, -0.0, 0.8), "(x: float, y: float, z: float) -> None",
+     {"x": dataclasses.MISSING, "y": dataclasses.MISSING, "z": dataclasses.MISSING}, 0.0),
+    (Multivector, ((0.5, 1.0, -2.0, 0.0, 0.25, -0.0, 3.0, -1.5),),
+     "(coeffs: tuple[float, float, float, float, float, float, float, float]"
+     " = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)) -> None",
+     {"coeffs": (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)}, E12.coeffs),
+])
+def test_value_type_constructors_keep_the_generated_contract(cls, args, signature, defaults, last):
+    names = tuple(defaults)
+    # Under postponed annotations the string forms differ only in how `None` is
+    # spelled, so the signature is compared with its annotations evaluated.
+    assert str(inspect.signature(cls, eval_str=True)) == signature
+    assert {f.name: f.default for f in dataclasses.fields(cls)} == defaults
+    value = cls(*args)
+    assert tuple(getattr(value, name) for name in names) == args
+    assert cls(**dict(zip(names, args))) == value
+    twin = cls(*args)
+    assert twin is not value and hash(twin) == hash(value) and repr(twin) == repr(value)
+    assert repr(value) == f"{cls.__name__}(" + ", ".join(
+        f"{name}={arg!r}" for name, arg in zip(names, args)) + ")"
+    copies = [dataclasses.replace(value), copy.copy(value), copy.deepcopy(value)]
+    copies += [pickle.loads(pickle.dumps(value, protocol))
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for other in copies:
+        assert type(other) is cls and other == value and repr(other) == repr(value)
+    assert dataclasses.replace(value, **{names[-1]: last}) == cls(*args[:-1], last)
+
+
+def test_multivector_default_is_the_field_default():
+    assert Multivector() == ZERO
+    assert Multivector().coeffs is dataclasses.fields(Multivector)[0].default
 
 
 # --- hidden variable and distribution ----------------------------------------
