@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable
 
@@ -29,7 +30,7 @@ from .ga import (
     _max_magnitude,
 )
 from .model import ORIENTATIONS, PRODUCT_FORMS, ProductForm
-from .measure import MeasureKind, measure_total_columns, p_grid, p_grid_size, sweep
+from .measure import MeasureKind, Sweep, measure_total_columns, p_grid, p_grid_size, sweep
 from .bell import (
     DEFAULT_ANGLES_DEG,
     ChshScenario,
@@ -124,7 +125,10 @@ class AuditConfig:
 @dataclass(frozen=True)
 class AuditReport:
     """The report document that ``run_audit`` builds: the JSON tree, keyed in
-    output order, which the verdicts, the text view and the JSON writer read."""
+    output order, which the verdicts, the text view and the JSON writer read.
+    Each ``functional_range`` probe is held as the pair's directed
+    identity-form ``Sweep``, not as plain JSON types; the writer emits it as
+    one ``{"p": ..., "value": {...}}`` row per grid point."""
 
     document: dict
 
@@ -372,11 +376,8 @@ def _functional_range(pr: _AuditedPair) -> dict:
             "max_abs_scalar_component": max_scalar,
             "nonzero_scalar_attained": max_scalar > 0.0,
         }
-    directed = pr.sweeps["identity"][MeasureKind.DIRECTED_TRIVECTOR]
-    entry["identity"]["probe"] = [
-        {"p": p, "value": dict(zip(_MV_KEYS, coeffs))}
-        for p, coeffs in zip(directed.grid, zip(*directed.columns))
-    ]
+    # The sweep itself: the JSON writer writes it as one row per grid point.
+    entry["identity"]["probe"] = pr.sweeps["identity"][MeasureKind.DIRECTED_TRIVECTOR]
     return entry
 
 
@@ -595,9 +596,10 @@ def _json_float(x: float) -> str:
 
 def _json_document(tree) -> str:
     """``json.dumps(tree, indent=2, allow_nan=False) + "\\n"`` in one direct
-    pass, each float rounded by ``_json_float``.  Dict keys must be strings;
-    a value of any other type than str, int, float, bool, None, dict, list or
-    tuple raises ``TypeError``."""
+    pass, each float rounded by ``_json_float``, with a ``Sweep`` written as
+    the list of its rows (see ``_json_sweep``).  Dict keys must be strings;
+    a value of any other type than str, int, float, bool, None, dict, list,
+    tuple or ``Sweep`` raises ``TypeError``."""
     out: list[str] = []
     _json_walk(tree, "\n", out.append)
     out.append("\n")
@@ -633,8 +635,6 @@ def _json_walk(obj, pad: str, put: Callable[[str], None]) -> None:
         if not obj:
             put("[]")
             return
-        if _json_table(obj, pad, put):
-            return
         inner = pad + "  "
         comma = "," + inner
         sep = "[" + inner
@@ -651,62 +651,34 @@ def _json_walk(obj, pad: str, put: Callable[[str], None]) -> None:
         put("false")
     elif isinstance(obj, int):
         put(int.__repr__(obj))
+    elif isinstance(obj, Sweep):
+        _json_sweep(obj, pad, put)
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _json_table(rows, pad: str, put: Callable[[str], None]) -> bool:
-    """Put the JSON of a non-empty list of rows that share one layout, and
-    return True; return False, having put nothing, for any other list.  A row
-    is a dict whose values are floats or dicts of floats, with its keys, and
-    those of each nested dict, in the first row's order.  Every row is written
-    through one ``%`` template built from the first row's quoted keys; any
-    other leaf type (int, bool, a float subclass) is left to the walk."""
-    first = rows[0]
-    if type(first) is not dict:
-        return False
-    keys = tuple(first)
-    # Per key, the keys of its nested dict, or None for a float.
-    nested = tuple(tuple(v) if type(v) is dict else None for v in first.values())
-    if {*map(type, keys)}.union(*(map(type, sub) for sub in nested if sub)) - {str}:
-        return False
-    leaves: list = []
-    for row in rows:
-        # Tuples, not keys views: a view compares as a set and ignores order.
-        if type(row) is not dict or tuple(row) != keys:
-            return False
-        for value, sub in zip(row.values(), nested):
-            if sub is None:
-                leaves.append(value)
-            elif type(value) is dict and tuple(value) == sub:
-                leaves.extend(value.values())
-            else:
-                return False
-    if {*map(type, leaves)} - {float}:
-        return False
-    # Mapped in document order, so the first non-finite leaf raises, as in the walk.
-    texts = tuple(map(_json_float, leaves))
-    n = len(texts) // len(rows)
-    inner = pad + "  "
-    row = _json_template(first, inner)
-    head, rest = "[" + inner + row, "," + inner + row
+def _json_sweep(swept: Sweep, pad: str, put: Callable[[str], None]) -> None:
+    """Put a sweep, whose grid ``sweep`` keeps non-empty, as the JSON list of
+    its rows, one per grid point in grid order:
+    ``{"p": grid[j], "value": {"scalar": columns[0][j], ...}}``.  Each column
+    is formatted once, lazily, so the rows pull their cells in document order
+    and the first non-finite one raises; a column with no nonzero entry is
+    ``0.0`` throughout, which is what ``_json_float`` writes for either zero
+    (a NaN is truthy, so it is still formatted and raises).  Every row goes
+    through one ``%`` template."""
+    row, inner, slot = pad + "  ", pad + "    ", pad + "      "
+    template = ("{" + inner + '"p": %s,' + inner + '"value": {'
+                + ",".join(slot + _quote(key) + ": %s" for key in _MV_KEYS)
+                + inner + "}" + row + "}")
+    cells = zip(*(map(_json_float, column) if any(column) else repeat("0.0")
+                  for column in (swept.grid, *swept.columns)))
     # One piece per row: a table joined into one string (about 180 KB on a
     # 501-point grid) raised the sweep_fine benchmark's peak RSS by about 2 MB.
-    for i in range(len(rows)):
-        put((rest if i else head) % texts[i * n:i * n + n])
+    put("[" + row + template % next(cells))
+    rest = "," + row + template
+    for values in cells:
+        put(rest % values)
     put(pad + "]")
-    return True
-
-
-def _json_template(layout: dict, pad: str) -> str:
-    """``layout`` as a ``%`` template with one ``%s`` per float."""
-    if not layout:
-        return "{}"
-    inner = pad + "  "
-    return "{" + inner + ("," + inner).join(
-        _quote(key).replace("%", "%%") + ": "
-        + (_json_template(value, inner) if type(value) is dict else "%s")
-        for key, value in layout.items()) + pad + "}"
 
 
 def emit(report: AuditReport, output_format: str | None = None) -> str:

@@ -130,7 +130,8 @@ def p_grid_size(step: float) -> int:
 
 def p_grid(step: float) -> tuple[float, ...]:
     """Distribution family grid: p = 0, step, 2*step, ... ending at exactly 1."""
-    return tuple(i * step for i in range(p_grid_size(step) - 1)) + (1.0,)
+    # float(step): an int step of 1 still gives the float point 0.0.
+    return tuple(i * float(step) for i in range(p_grid_size(step) - 1)) + (1.0,)
 
 
 DEFAULT_P_GRID = p_grid(0.05)

@@ -20,9 +20,10 @@ the two orientation atoms that adds each weighted term to ``ZERO`` through
 sign of zero included.
 
 ``reference_emit_json`` is the JSON emission as first written: a copy of the
-tree with every float rounded to 15 significant digits, then the stdlib
-encoder at ``indent=2`` with ``allow_nan=False``.  The report emitter must
-write the same bytes.
+tree with every float rounded to 15 significant digits and every ``Sweep``
+expanded into its rows (``reference_sweep_rows``), then the stdlib encoder
+at ``indent=2`` with ``allow_nan=False``.  The report emitter must write the
+same bytes.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ import random
 
 from g3bell.bell import ChshScenario, chsh, scalar_correlation
 from g3bell.ga import GradeSupport, Vector3, ZERO, grade_audit, gp
-from g3bell.measure import (_SCALE, _UNIT, _UNSCALE, ExpectationResult,
+from g3bell.audit import _MV_KEYS
+from g3bell.measure import (_SCALE, _UNIT, _UNSCALE, ExpectationResult, Sweep,
                             is_valid_probability_measure, measure_total)
 from g3bell.model import ORIENTATIONS, OrientationDistribution
 
@@ -163,11 +165,20 @@ def _reference_round15(x: float) -> float:
     return float(f"{x:.15g}")
 
 
+def reference_sweep_rows(swept: Sweep) -> list[dict]:
+    """A sweep as the report's probe first held it: per grid point, ``p`` and
+    then the value's 8 coefficients by slot name."""
+    return [{"p": p, "value": dict(zip(_MV_KEYS, coeffs))}
+            for p, coeffs in zip(swept.grid, zip(*swept.columns))]
+
+
 def _reference_round_tree(obj):
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, float):
         return _reference_round15(obj)
+    if isinstance(obj, Sweep):
+        return _reference_round_tree(reference_sweep_rows(obj))
     if isinstance(obj, dict):
         return {k: _reference_round_tree(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -14,9 +14,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import g3bell
-from g3bell import audit
-from g3bell.ga import GradeSupport, I, Multivector, Vector3, ZERO, cross, dot
-from g3bell.model import PRODUCT_FORMS, OrientationDistribution
+from g3bell import audit, measure
+from g3bell.bell import make_scalarizer
+from g3bell.ga import GradeSupport, I, Multivector, ONE, Vector3, ZERO, cross, dot, grade_project
+from g3bell.model import (ORIENTATIONS, PRODUCT_FORMS, OrientationDistribution, product_identity,
+                          product_raw)
 from g3bell.audit import (
     AuditConfig,
     CLAIM_MAP,
@@ -34,12 +36,12 @@ from g3bell.audit import (
     pair_key,
     run_audit,
 )
-from g3bell.measure import (MeasureKind, is_valid_probability_measure, measure_total, p_grid,
-                            p_grid_size)
+from g3bell.measure import (MeasureKind, Sweep, is_valid_probability_measure, measure_total,
+                            p_grid, p_grid_size, sweep)
 from g3bell.cli import (_VALUE_FLAGS, angles_argument, build_parser, config_from_args, main,
                         main_entry, pair_argument)
 
-from _oracle import reference_emit_json
+from _oracle import reference_emit_json, reference_sweep_rows
 
 FAST = dict(trials=60, seed=42)
 
@@ -425,6 +427,89 @@ def test_planted_nan_refutes_the_claims_that_read_it(monkeypatch, key, slot, ref
     assert {c["id"] for c in claims if c["verdict"] == REFUTED} == refuted
 
 
+def _identity_ignoring_orientation(a, b, hv):
+    return product_identity(a, b, ORIENTATIONS[0])
+
+
+def _identity_grade0(a, b, hv):
+    return grade_project(product_identity(a, b, hv), 0)
+
+
+def _oversized_scalarizer(a, hv):
+    # Passes the registration probes, none of which has both |x| and |z| below 0.5.
+    return (1.5 if abs(a.x) < 0.5 and abs(a.z) < 0.5 else 1.0) * hv.orientation
+
+
+def _with_oversized_scalarizer(default_scalarizers=audit.default_scalarizers):
+    return default_scalarizers() + (make_scalarizer("oversized", _oversized_scalarizer),)
+
+
+def _scaled_quantum_target(a, b, quantum_target=audit.quantum_target):
+    return 0.9 * quantum_target(a, b)
+
+
+def _scalar_weight_sweep_without_grade0(product_fn, a, b, kind, grid, tol):
+    # The scalar-weight expectation loses the -a.b part of every product.
+    if kind is MeasureKind.SCALAR_WEIGHTS:
+        return sweep(lambda a, b, hv: grade_project(product_fn(a, b, hv), 2), a, b, kind, grid, tol)
+    return sweep(product_fn, a, b, kind, grid, tol)
+
+
+# One defect per row, planted in the model, the measure or the CHSH inputs, and
+# the exact claims it refutes at p_step 0.25 and 200 trials; rows that refute
+# the same claims show which claims share a check.
+PLANTED_DEFECTS = {
+    "directed_unit_is_one": (
+        lambda mp: mp.setitem(measure._UNIT, MeasureKind.DIRECTED_TRIVECTOR, ONE),
+        {"directed_codomain", "orthogonal_zero_graded", "nonisotropic_leak",
+         "directed_total_trivector", "directed_scalar_range_empty"}),
+    "identity_is_raw": (
+        lambda mp: mp.setitem(PRODUCT_FORMS, "identity", product_raw),
+        {"orthogonal_zero_graded", "nonisotropic_leak"}),
+    "identity_ignores_orientation": (
+        lambda mp: mp.setitem(PRODUCT_FORMS, "identity", _identity_ignoring_orientation),
+        {"orthogonal_zero_graded", "nonisotropic_leak"}),
+    "identity_projected_to_grade0": (
+        lambda mp: mp.setitem(PRODUCT_FORMS, "identity", _identity_grade0),
+        {"observable_product_splits", "scalar_weight_codomain", "directed_codomain",
+         "orthogonal_zero_graded", "nonisotropic_leak"}),
+    "oversized_scalarizer": (
+        lambda mp: mp.setattr(audit, "default_scalarizers", _with_oversized_scalarizer),
+        {"scalarized_chsh_classical"}),
+    "quantum_target_scaled": (
+        lambda mp: mp.setattr(audit, "quantum_target", _scaled_quantum_target),
+        {"projection_reproduces_violation"}),
+    "lhv_bound_three": (
+        lambda mp: mp.setattr(audit, "lhv_bruteforce_bound", lambda: 3.0),
+        {"lhv_bound_two"}),
+    "scalar_weight_sweep_without_grade0": (
+        lambda mp: mp.setattr(audit, "sweep", _scalar_weight_sweep_without_grade0),
+        {"scalar_weight_codomain"}),
+    "quantum_target_zero": (
+        lambda mp: mp.setattr(audit, "quantum_target", lambda a, b: 0.0),
+        set()),
+}
+# The rows that leave a claim informational: a quantum target of 0 probes no violation.
+PLANTED_INFORMATIONAL = {"quantum_target_zero": {"projection_reproduces_violation"}}
+
+
+@pytest.mark.parametrize("defect", list(PLANTED_DEFECTS))
+def test_planted_defect_refutes_exactly_its_claims(monkeypatch, capsys, defect):
+    plant, refuted = PLANTED_DEFECTS[defect]
+    plant(monkeypatch)
+    claims = run_audit(AuditConfig(p_step=0.25, trials=200)).document["claims"]
+    assert {c["id"] for c in claims if c["verdict"] == REFUTED} == refuted
+    assert ({c["id"] for c in claims if c["verdict"] == INFORMATIONAL}
+            == PLANTED_INFORMATIONAL.get(defect, set()))
+    assert main(["--p-step", "0.25", "--trials", "200"]) == 1
+    capsys.readouterr()
+
+
+def test_planted_defects_refute_every_claim():
+    assert set().union(*(refuted for _, refuted in PLANTED_DEFECTS.values())) == \
+        {c.id for c in CLAIM_MAP}
+
+
 def test_audit_evaluates_each_product_form_twice_per_pair(monkeypatch):
     # Wrapped as the benchmark harness wraps them: each PRODUCT_FORMS entry, and
     # expectation in every g3bell namespace that holds it.
@@ -726,57 +811,12 @@ json_strings = st.text(alphabet=st.one_of(st.sampled_from('"\\/%\x00\x1f\x7f\n\t
 json_leaves = st.one_of(json_floats, st.integers(), st.booleans(), st.none(), json_strings)
 
 
-class _Float(float):
-    pass
-
-
-_table_keys = st.lists(st.one_of(json_strings, st.sampled_from(["p", "value", "%s", "%%"])),
-                       max_size=3, unique=True)
-
-
-@st.composite
-def json_tables(draw):
-    """A list of 2-8 rows of one layout (dicts of floats and of dicts of
-    floats, the shape the JSON writer renders from one template), or a near
-    miss: the keys of one row or one of its nested dicts reordered, one leaf
-    an int, bool or float subclass, or non-finite leaves in late rows."""
-    layout = {key: draw(st.none() | _table_keys) for key in draw(_table_keys)}
-
-    def row():
-        return {key: draw(json_floats) if sub is None else {s: draw(json_floats) for s in sub}
-                for key, sub in layout.items()}
-
-    rows = [row() for _ in range(draw(st.integers(2, 8)))]
-    # Each leaf as (row index, the dict that holds it, its key).
-    leaves = [(i, holder, key) for i, r in enumerate(rows)
-              for holder in (r, *(v for v in r.values() if isinstance(v, dict)))
-              for key, value in holder.items() if isinstance(value, float)]
-    miss = draw(st.sampled_from(["none", "reorder", "int", "bool", "subclass", "non-finite"]))
-    if miss == "reorder":
-        i = draw(st.integers(0, len(rows) - 1))
-        nested = [key for key, value in rows[i].items() if isinstance(value, dict)]
-        key = draw(st.sampled_from([None, *nested]))
-        if key is None:
-            rows[i] = dict(reversed(rows[i].items()))
-        else:
-            rows[i][key] = dict(reversed(rows[i][key].items()))
-    elif miss == "non-finite":
-        late = [leaf for leaf in leaves if 2 * leaf[0] >= len(rows)]
-        for _, holder, key in draw(st.lists(st.sampled_from(late), max_size=2)) if late else ():
-            holder[key] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
-    elif miss != "none" and leaves:
-        _, holder, key = draw(st.sampled_from(leaves))
-        holder[key] = {"int": int, "bool": bool, "subclass": _Float}[miss](holder[key] % 7)
-    return rows
-
-
 json_trees = st.recursive(
     json_leaves,
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
         st.dictionaries(json_strings, children, max_size=4),
-        json_tables(),
     ),
     max_leaves=40,
 )
@@ -788,21 +828,6 @@ def _emitted(emitter, tree):
         return emitter(tree)
     except (ValueError, TypeError) as exc:
         return type(exc)
-
-
-def _document_or_error(tree):
-    """The document, or the exception the emitter raised and its message."""
-    try:
-        return _json_document(tree)
-    except (ValueError, TypeError) as exc:
-        return type(exc), str(exc)
-
-
-def _walked(tree):
-    """``_document_or_error`` with every list left to the walk."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(audit, "_json_table", lambda rows, pad, put: False)
-        return _document_or_error(tree)
 
 
 def _has_non_finite(tree) -> bool:
@@ -819,12 +844,6 @@ def _reject_constant(token):
 
 @given(json_trees)
 @example([{"p": 0.0, "value": {"%s": -0.0, "e\u00e9": 1.7976931348623157e308}}] * 2)
-@example([{"p": 0.5, "%d": {}}, {"%d": {}, "p": 0.5}])
-@example([{"a": 1.0, "b": 2.0}, {"b": 2.0, "a": 1.0}])
-@example([{"p": 0.5, "v": {"a": 1.0, "b": 2.0}}, {"p": 0.5, "v": {"b": 2.0, "a": 1.0}}])
-@example([{"v": {"a": 1.0}}, {"v": {"b": 1.0}}])
-@example([{"p": 0.5, "v": {"a": 1.0}}, {"p": 0.5, "v": {"a": True}}])
-@example([{"p": 0.5, "v": {"a": 1.0}}, {"p": _Float(0.5), "v": {"a": 1.0}}])
 @example([{"p": 0.5}, {"p": math.inf}, {"p": math.nan}])
 def test_json_document_matches_stdlib_encoder(tree):
     expected = _emitted(reference_emit_json, tree)
@@ -836,8 +855,121 @@ def test_json_document_matches_stdlib_encoder(tree):
         json.loads(got, parse_constant=_reject_constant)
     else:
         assert got == expected
-    # The table path writes what the walk writes, and raises where it raises.
-    assert _document_or_error(tree) == _walked(tree)
+
+
+def _with_slot(slot: int, value: float, orientations=(+1, -1)):
+    """The identity product form with coefficient ``slot`` set to ``value``
+    at the given orientations."""
+    def planted(a, b, hv):
+        coeffs = list(product_identity(a, b, hv).coeffs)
+        if hv.orientation in orientations:
+            coeffs[slot] = value
+        return Multivector(tuple(coeffs))
+    return planted
+
+
+# Product forms a probe sweep is built from: e12 is -0.0 at both orientations,
+# so its column is all zeros; a NaN or an infinity makes the sweep unwritable.
+_SWEPT_FORMS = {
+    "identity": product_identity,
+    "raw": product_raw,
+    "signed_zero_e12": _with_slot(4, -0.0),
+    "nan_e1": _with_slot(1, math.nan, (-1,)),
+    "inf_e123": _with_slot(7, math.inf, (+1,)),
+}
+# Where the sweep sits in the tree, which sets the indent of its rows.
+_PLACES = {
+    "root": lambda s: s,
+    "probe": lambda s: {"probe": s},
+    "nested": lambda s: [0.5, {"functional_range": {"identity": {"probe": s, "x": None}}}],
+}
+_EXAMPLE_PAIR = (Vector3(0.6, 0.0, 0.8), Vector3(0.0, 0.6, 0.8))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(_unit_vectors, _unit_vectors), st.sampled_from([1.0, 0.25, 0.05, 0.002]),
+       st.sampled_from(list(MeasureKind)), st.sampled_from(sorted(_SWEPT_FORMS)),
+       st.sampled_from(sorted(_PLACES)))
+@example(_EXAMPLE_PAIR, 1.0, MeasureKind.DIRECTED_TRIVECTOR, "identity", "probe")
+@example(_EXAMPLE_PAIR, 0.002, MeasureKind.DIRECTED_TRIVECTOR, "identity", "nested")
+@example(_EXAMPLE_PAIR, 0.002, MeasureKind.SCALAR_WEIGHTS, "signed_zero_e12", "root")
+@example(_EXAMPLE_PAIR, 1.0, MeasureKind.DIRECTED_TRIVECTOR, "nan_e1", "probe")
+@example(_EXAMPLE_PAIR, 0.002, MeasureKind.SCALAR_WEIGHTS, "inf_e123", "nested")
+def test_json_document_writes_a_sweep_as_its_rows(pair, p_step, kind, form, place):
+    swept = sweep(_SWEPT_FORMS[form], *pair, kind, p_grid(p_step))
+    # The same sweep with every zero coefficient -0.0, which is written 0.0.
+    negated_zeros = dataclasses.replace(swept, columns=tuple(
+        tuple(-0.0 if c == 0.0 else c for c in column) for column in swept.columns))
+    for s in (swept, negated_zeros):
+        tree = _PLACES[place](s)
+        expected = _emitted(reference_emit_json, tree)
+        assert _emitted(_json_document, tree) == expected
+        assert (expected is ValueError) == form.startswith(("nan", "inf"))
+        # The writer's own walk over the rows: the same bytes, or the same message.
+        rows = _PLACES[place](reference_sweep_rows(s))
+        assert _document_or_error(tree) == _document_or_error(rows)
+
+
+def test_json_document_names_a_sweeps_first_non_finite_value_in_row_order():
+    # e1 is infinite at the last point only, e13 NaN at the first: the rows
+    # reach the NaN first, as the walk over the rows does.
+    swept = sweep(product_identity, *_EXAMPLE_PAIR, MeasureKind.SCALAR_WEIGHTS, p_grid(0.5))
+    columns = list(swept.columns)
+    columns[1] = columns[1][:-1] + (math.inf,)
+    columns[5] = (math.nan,) + columns[5][1:]
+    planted = dataclasses.replace(swept, columns=tuple(columns))
+    error = _document_or_error({"probe": planted})
+    assert error == _document_or_error({"probe": reference_sweep_rows(planted)})
+    assert error[0] is ValueError and error[1].endswith("nan")
+
+
+def _document_or_error(tree):
+    """The document, or the exception the emitter raised and its message."""
+    try:
+        return _json_document(tree)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def _containers(tree) -> int:
+    """The dicts and lists in a report document, not counting a sweep's rows."""
+    if isinstance(tree, dict):
+        return 1 + sum(map(_containers, tree.values()))
+    if isinstance(tree, (list, tuple)):
+        return 1 + sum(map(_containers, tree))
+    return 0
+
+
+def test_each_probe_is_the_pairs_directed_identity_sweep(monkeypatch):
+    # The probe is the sweep the audit made, not a copy of it as per-point rows.
+    made = []
+
+    class CountedDict(dict):
+        def __init__(self, *args, **kwargs):
+            made.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(audit, "dict", CountedDict, raising=False)
+    pairs = (pair_argument("0.6,0,0.8:0,0.6,0.8"), pair_argument("0,0,1:0.6,0.8,0"))
+    counts = []
+    for p_step in (0.1, 0.001):
+        made.clear()
+        config = AuditConfig(p_step=p_step, extra_pairs=pairs, trials=20)
+        doc = run_audit(config).document
+        counts.append((len(made), _containers(doc)))
+        grid = p_grid(p_step)
+        for key, a, b in audit.audited_pairs(config):
+            probe = doc["functional_range"][key]["identity"]["probe"]
+            assert type(probe) is Sweep
+            assert probe.grid == grid
+            expected = sweep(product_identity, a, b, MeasureKind.DIRECTED_TRIVECTOR, grid,
+                             config.tolerance)
+            assert list(map(_float_bits, probe.columns)) == list(map(_float_bits, expected.columns))
+    assert counts[0] == counts[1]
+
+
+def _float_bits(column) -> list[str]:
+    return [float.hex(c) for c in column]
 
 
 def test_sweep_fine_shaped_report_emits_the_oracles_bytes():

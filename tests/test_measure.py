@@ -121,6 +121,8 @@ def test_probability_measure_check_rejects_a_nan_coefficient(slot):
 
 def test_p_grid_step_one_is_endpoints():
     assert p_grid(1.0) == (0.0, 1.0)
+    # An int step gives float points too, as the report writes them.
+    assert list(map(type, p_grid(1))) == [float, float]
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.5, 1.5])

@@ -8,8 +8,8 @@ compares two digests per (workload, seed) with ``data/report_streams.json``:
 - ``report``: the emitted documents, text for ``chsh_default`` and JSON for
   the library workloads, as the benchmark emits them;
 - ``floats``: the ``repr`` of every float in each ``report.document``, in
-  document order, so a one-ulp change that 15-digit JSON rounds away still
-  shows.
+  document order, a probe ``Sweep`` read as its JSON rows, so a one-ulp
+  change that 15-digit JSON rounds away still shows.
 
 The inputs follow ``perfbench/workloads.py``'s ``InputStream`` recipe, and
 each workload's shape (grid step, trials, extra pairs, entry point) is read
@@ -30,6 +30,9 @@ import pytest
 
 import g3bell
 from g3bell import cli
+from g3bell.measure import Sweep
+
+from _oracle import reference_sweep_rows
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS_SOURCE = ROOT / "perfbench" / "workloads.py"
@@ -86,6 +89,9 @@ def _unit(rng: random.Random) -> g3bell.Vector3:
 def _float_reprs(obj, out: list) -> None:
     if type(obj) is float:
         out.append(repr(obj))
+    elif isinstance(obj, Sweep):
+        # The probe's floats in the order of its JSON rows: p, then the 8 slots.
+        _float_reprs(reference_sweep_rows(obj), out)
     elif isinstance(obj, dict):
         for value in obj.values():
             _float_reprs(value, out)
