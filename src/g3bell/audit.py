@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable
 
@@ -601,12 +601,12 @@ def _json_document(tree) -> str:
     a value of any other type than str, int, float, bool, None, dict, list,
     tuple or ``Sweep`` raises ``TypeError``."""
     out: list[str] = []
-    _json_walk(tree, "\n", out.append)
+    _json_walk(tree, "\n", out.append, {})
     out.append("\n")
     return "".join(out)
 
 
-def _json_walk(obj, pad: str, put: Callable[[str], None]) -> None:
+def _json_walk(obj, pad: str, put: Callable[[str], None], grids: dict) -> None:
     """Append the JSON pieces of ``obj`` through ``put``; ``pad`` is a newline
     and the indent of obj's own line.  A module-level function, not a closure
     over ``put``: a nested walker that calls itself holds a reference cycle to
@@ -628,7 +628,7 @@ def _json_walk(obj, pad: str, put: Callable[[str], None]) -> None:
             if isinstance(value, float):
                 put(_json_float(value))
             else:
-                _json_walk(value, inner, put)
+                _json_walk(value, inner, put, grids)
             sep = comma
         put(pad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -640,7 +640,7 @@ def _json_walk(obj, pad: str, put: Callable[[str], None]) -> None:
         sep = "[" + inner
         for value in obj:
             put(sep)
-            _json_walk(value, inner, put)
+            _json_walk(value, inner, put, grids)
             sep = comma
         put(pad + "]")
     elif obj is None:
@@ -652,26 +652,48 @@ def _json_walk(obj, pad: str, put: Callable[[str], None]) -> None:
     elif isinstance(obj, int):
         put(int.__repr__(obj))
     elif isinstance(obj, Sweep):
-        _json_sweep(obj, pad, put)
+        _json_sweep(obj, pad, put, grids)
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _json_sweep(swept: Sweep, pad: str, put: Callable[[str], None]) -> None:
+def _json_column(column) -> list[str]:
+    """``_json_float`` of each value, from one ``%.15g`` pass: ``_json_float``
+    keeps that text exactly when it has a ``.`` and no ``e``, so only the other
+    cells (zeros, integral values, exponent forms, NaN, infinities) are redone."""
+    text = "%.15g " * len(column) % tuple(column)
+    cells = text.split()
+    if text.count(".") < len(cells) or "e" in text:
+        cells = [s if "." in s and "e" not in s else _json_float(x)
+                 for s, x in zip(cells, column)]
+    return cells
+
+
+def _json_sweep(swept: Sweep, pad: str, put: Callable[[str], None], grids: dict) -> None:
     """Put a sweep, whose grid ``sweep`` keeps non-empty, as the JSON list of
     its rows, one per grid point in grid order:
     ``{"p": grid[j], "value": {"scalar": columns[0][j], ...}}``.  Each column
-    is formatted once, lazily, so the rows pull their cells in document order
-    and the first non-finite one raises; a column with no nonzero entry is
-    ``0.0`` throughout, which is what ``_json_float`` writes for either zero
-    (a NaN is truthy, so it is still formatted and raises).  Every row goes
-    through one ``%`` template."""
+    goes through ``_json_column``, the grid once per document (``grids`` maps
+    its id to the grid, held so that no other object takes the id, and its
+    cells); a column with no nonzero entry is ``0.0`` throughout, as
+    ``_json_float`` writes either zero (a NaN is truthy).  A non-finite value
+    raises from the first one in row order, as the walk over the rows would.
+    Every row goes through one ``%`` template."""
     row, inner, slot = pad + "  ", pad + "    ", pad + "      "
     template = ("{" + inner + '"p": %s,' + inner + '"value": {'
                 + ",".join(slot + _quote(key) + ": %s" for key in _MV_KEYS)
                 + inner + "}" + row + "}")
-    cells = zip(*(map(_json_float, column) if any(column) else repeat("0.0")
-                  for column in (swept.grid, *swept.columns)))
+    grid = swept.grid
+    try:
+        held = grids.get(id(grid))
+        if held is None:
+            held = grids[id(grid)] = (grid, _json_column(grid))
+        cells = zip(held[1], *(_json_column(column) if any(column) else repeat("0.0")
+                               for column in swept.columns))
+    except ValueError:
+        for x in chain.from_iterable(zip(grid, *swept.columns)):
+            _json_float(x)
+        raise
     # One piece per row: a table joined into one string (about 180 KB on a
     # 501-point grid) raised the sweep_fine benchmark's peak RSS by about 2 MB.
     put("[" + row + template % next(cells))

@@ -191,7 +191,8 @@ def sweep(product_fn: ProductForm, a: Vector3, b: Vector3, kind: MeasureKind,
             if any(columns[i]):
                 squares = [s + c * c for s, c in zip(squares, columns[i])]
         grade_norms.append(zeros if squares is zeros else tuple(map(math.sqrt, squares)))
-    peaks = tuple(map(_max_magnitude, grade_norms))
+    # The peak of the shared zeros is +0.0, which the scan would find.
+    peaks = tuple(0.0 if norms is zeros else _max_magnitude(norms) for norms in grade_norms)
     return Sweep(
         grid=grid,
         columns=tuple(columns),

@@ -910,17 +910,81 @@ def test_json_document_writes_a_sweep_as_its_rows(pair, p_step, kind, form, plac
         assert _document_or_error(tree) == _document_or_error(rows)
 
 
-def test_json_document_names_a_sweeps_first_non_finite_value_in_row_order():
-    # e1 is infinite at the last point only, e13 NaN at the first: the rows
-    # reach the NaN first, as the walk over the rows does.
-    swept = sweep(product_identity, *_EXAMPLE_PAIR, MeasureKind.SCALAR_WEIGHTS, p_grid(0.5))
-    columns = list(swept.columns)
-    columns[1] = columns[1][:-1] + (math.inf,)
-    columns[5] = (math.nan,) + columns[5][1:]
-    planted = dataclasses.replace(swept, columns=tuple(columns))
-    error = _document_or_error({"probe": planted})
-    assert error == _document_or_error({"probe": reference_sweep_rows(planted)})
-    assert error[0] is ValueError and error[1].endswith("nan")
+_TOP = 1.7976931348623157e308
+# Columns planted into a 5-point sweep by key ("p" is the grid): each holds cells
+# whose %.15g text is not what _json_float writes, with the message that the
+# row-order first non-finite value raises, or None.
+_PLANTED_COLUMNS = {
+    "signed_zeros": ({"e2": (0.0, -0.0, 0.5, -0.0, -0.25), "e123": (-0.0, 0.0, -0.0, 0.0, 1e-3)},
+                     None),
+    "integral": ({"scalar": (1.0, -1.0, 2.0, -0.5, 3.0), "e12": (-1.0,) * 5}, None),
+    # %.15g turns to exponent form at 1e15, repr only at 1e16, with a "." in e1
+    # and without one in e2; it also rounds 123456789012345.6 to an integer.
+    "exponent_band": ({"e1": (1.25e15, 9.99999999999999e15, -1.5e15, 0.5, 0.25),
+                       "e2": (1e15, -1e15, 123456789012345.6, 0.5, 0.25)}, None),
+    # 5e-324 is rounded to its shortest repr; the top float rounds past the range
+    # and is written unrounded.
+    "extremes": ({"e3": (2.5e-5, 5e-324, _TOP, -0.1, -_TOP), "e23": (1e-5, 0.5, -1e-5, 0.5, 0.5)},
+                 None),
+    "list_column": ({"e13": [0.1, -0.2, 0.0, 1.0, 1e-7]}, None),
+    # Zero everywhere, grid included: still one row per grid point.
+    "all_zero": ({key: (0.0,) * 5 for key in ("p", *audit._MV_KEYS)}, None),
+    # e1 is infinite in the last row, e13 (a later column) NaN in the first.
+    "nan_before_inf": ({"e1": (0.5, 0.5, 0.5, 0.5, math.inf),
+                        "e13": (math.nan, 0.5, 0.5, 0.5, 0.5)},
+                       "Out of range float values are not JSON compliant: nan"),
+    # The grid is NaN in a later row than a coefficient's -inf.
+    "grid_nan_after_inf": ({"p": (0.0, 0.25, math.nan, 0.75, 1.0),
+                            "e23": (0.5, -math.inf, 0.5, 0.5, 0.5)},
+                           "Out of range float values are not JSON compliant: -inf"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PLANTED_COLUMNS))
+def test_json_document_writes_every_planted_cell_as_json_float(name):
+    planting, message = _PLANTED_COLUMNS[name]
+    swept = sweep(product_identity, *_EXAMPLE_PAIR, MeasureKind.DIRECTED_TRIVECTOR, p_grid(0.25))
+    columns = [planting.get(key, column) for key, column in zip(audit._MV_KEYS, swept.columns)]
+    planted = dataclasses.replace(swept, grid=planting.get("p", swept.grid), columns=tuple(columns))
+    tree = [0.5, {"probe": planted}]
+    got = _document_or_error(tree)
+    # The writer's own walk over the rows gives the same bytes, or the same message.
+    assert got == _document_or_error([0.5, {"probe": reference_sweep_rows(planted)}])
+    if message is not None:
+        assert got == (ValueError, message)
+        return
+    for column in (planted.grid, *planted.columns):
+        assert audit._json_column(column) == list(map(audit._json_float, column))
+    if name == "extremes":
+        # The stdlib path rounds the top float to inf and refuses it.
+        assert _emitted(reference_emit_json, tree) is ValueError
+        assert [row["value"]["e3"] for row in json.loads(got)[1]["probe"]][2:5:2] == [_TOP, -_TOP]
+    else:
+        assert got == reference_emit_json(tree)
+
+
+def test_json_document_formats_each_grid_once_and_only_as_itself(monkeypatch):
+    formatted = []
+    json_column = audit._json_column
+    monkeypatch.setattr(audit, "_json_column",
+                        lambda column: formatted.append(column) or json_column(column))
+    quarter, half = (run_audit(AuditConfig(p_step=step, output_format="json", **FAST))
+                     for step in (0.25, 0.5))
+    for report in (quarter, half, quarter):
+        formatted.clear()
+        assert emit(report) == reference_emit_json(report.document)
+        # The three pairs' probes share one grid, formatted once per document.
+        probes = [entry["identity"]["probe"]
+                  for entry in report.document["functional_range"].values()]
+        assert len(probes) == 3 and all(probe.grid is probes[0].grid for probe in probes)
+        assert [column is probes[0].grid for column in formatted].count(True) == 1
+    # Equal but distinct grids, and a different grid of the same length.
+    grid = p_grid(0.25)
+    twin, reversed_grid = tuple(list(grid)), grid[::-1]
+    assert twin == grid and twin is not grid
+    tree = {key: sweep(product_identity, *_EXAMPLE_PAIR, MeasureKind.DIRECTED_TRIVECTOR, g)
+            for key, g in (("grid", grid), ("twin", twin), ("reversed", reversed_grid))}
+    assert _json_document(tree) == reference_emit_json(tree)
 
 
 def _document_or_error(tree):
