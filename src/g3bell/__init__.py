@@ -52,6 +52,7 @@ from .measure import (
     p_grid,
     p_grid_size,
     sweep,
+    sweeps,
 )
 from .bell import (
     DEFAULT_ANGLES_DEG,

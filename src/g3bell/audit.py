@@ -30,7 +30,7 @@ from .ga import (
     _max_magnitude,
 )
 from .model import ORIENTATIONS, PRODUCT_FORMS, ProductForm
-from .measure import MeasureKind, Sweep, measure_total_columns, p_grid, p_grid_size, sweep
+from .measure import MeasureKind, Sweep, measure_total_columns, p_grid, p_grid_size, sweeps
 from .bell import (
     DEFAULT_ANGLES_DEG,
     ChshScenario,
@@ -212,8 +212,7 @@ def _audit_pair(key: str, a: Vector3, b: Vector3, grid, tol: float) -> _AuditedP
         dot=dot(a, b),
         cross_norm=cross(a, b).norm(),
         products=products,
-        sweeps={form: {kind: sweep(held(form), a, b, kind, grid, tol) for kind in _KINDS}
-                for form in _FORMS},
+        sweeps={form: sweeps(held(form), a, b, _KINDS, grid, tol) for form in _FORMS},
     )
 
 
@@ -659,13 +658,15 @@ def _json_walk(obj, pad: str, put: Callable[[str], None], grids: dict) -> None:
 
 def _json_column(column) -> list[str]:
     """``_json_float`` of each value, from one ``%.15g`` pass: ``_json_float``
-    keeps that text exactly when it has a ``.`` and no ``e``, so only the other
-    cells (zeros, integral values, exponent forms, NaN, infinities) are redone."""
+    keeps that text exactly when it has a ``.`` and no ``e``, adds ``.0`` to an
+    integral one (``-0`` is ``0.0``), and redoes only exponent forms, NaN and
+    the infinities."""
     text = "%.15g " * len(column) % tuple(column)
     cells = text.split()
     if text.count(".") < len(cells) or "e" in text:
-        cells = [s if "." in s and "e" not in s else _json_float(x)
-                 for s, x in zip(cells, column)]
+        cells = [s if "." in s and "e" not in s
+                 else _json_float(x) if not s.lstrip("-").isdigit()
+                 else "0.0" if s == "-0" else s + ".0" for s, x in zip(cells, column)]
     return cells
 
 

@@ -6,7 +6,9 @@ The directed total is I rather than the scalar 1 for every distribution,
 so its valid-probability flag is always false.  Grade support of a
 functional is reported from a sweep over a distribution family, never from
 a single evaluation, because the isotropic point hides the non-scalar
-grades inside an exact zero.
+grades inside an exact zero.  ``sweeps`` sweeps one product form under
+several kinds in one pass, sharing each column of equal or opposite weights
+and each grade's norms; ``sweep`` is its one-kind case.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .ga import (
     ONE,
     Multivector,
     Vector3,
-    _max_magnitude,
     grade_audit,
     gp,
 )
@@ -40,6 +41,9 @@ class MeasureKind(Enum):
     SCALAR_WEIGHTS = "scalar_weights"
     DIRECTED_TRIVECTOR = "directed_trivector"
 
+
+# Each grade's coefficient slots are contiguous.
+_GRADE_SPANS = tuple(slice(slots[0], slots[-1] + 1) for slots in GRADE_SLOTS.values())
 
 # The weight of one orientation atom is p(lambda) times its kind's unit.
 _UNIT = {MeasureKind.SCALAR_WEIGHTS: ONE, MeasureKind.DIRECTED_TRIVECTOR: I}
@@ -78,18 +82,38 @@ class ExpectationResult:
     valid_probability_measure: bool
 
 
-def _atom_sums(product_fn: ProductForm, a: Vector3, b: Vector3, kind: MeasureKind, points):
+def _atom_sums(product_fn: ProductForm, a: Vector3, b: Vector3, kinds, points):
     """The expectation at each point ``(p, q)``, p and q weighing the + and -
-    atoms, as columns: ``columns[i][j]`` is slot ``i`` at ``points[j]``.  The
-    weights are unchecked, so p may be a polynomial.  A slot that is zero in
-    both products is +0.0 at every point and shares one column of zeros."""
+    atoms, as one ``(columns, sums)`` pair per kind: ``columns[i][j]`` is slot
+    ``i`` at ``points[j]``; p may be a polynomial.  A column depends only on
+    its slot's weights ``(t, u)``: weights seen before share a column, zero
+    ones a column of zeros, and ``(-t, -u)`` seen before negates its inner
+    sums.  ``sums[i]`` holds those inner sums, ``()`` for the zeros."""
     # product*1, or product*I (a signed permutation), is exact at any scale.
-    plus, minus = (gp(product_fn(a, b, hv).scale(_SCALE), _UNIT[kind]).coeffs
-                   for hv in ORIENTATIONS)
-    zeros = (0.0,) * len(points)
-    return [tuple([_UNSCALE * ((0.0 + t * p) + (0.0 + u * q)) for p, q in points])
-            if t != 0.0 or u != 0.0 else zeros
-            for t, u in zip(plus, minus)]
+    plus, minus = [product_fn(a, b, hv).scale(_SCALE) for hv in ORIENTATIONS]
+    zeros = (0.0,) * len(points), ()
+    seen = {}  # weights -> their column and inner sums
+    swept = []
+    for kind in kinds:
+        unit = _UNIT[kind]
+        cells = []
+        for t, u in zip(gp(plus, unit).coeffs, gp(minus, unit).coeffs):
+            # +-0.0 keys are equal: the + 0.0 below erases the sign.
+            cell = zeros if t == 0.0 and u == 0.0 else seen.get((t, u))
+            if cell is None:
+                flip = seen.get((-t, -u))
+                if flip is None:
+                    # (A + B) + 0.0 == (0.0 + A) + (0.0 + B) bitwise: never -0.0.
+                    x = [t * p + u * q + 0.0 for p, q in points]
+                    cell = tuple([_UNSCALE * v for v in x]), x
+                else:
+                    # Exact: 0.0 - x is -x, +0.0 where x is; an underflowed zero keeps its sign.
+                    x = flip[1]
+                    cell = tuple([_UNSCALE * (0.0 - v) for v in x]), x
+                seen[t, u] = cell
+            cells.append(cell)
+        swept.append(tuple(zip(*cells)))
+    return swept
 
 
 def expectation(product_fn: ProductForm, a: Vector3, b: Vector3,
@@ -102,8 +126,8 @@ def expectation(product_fn: ProductForm, a: Vector3, b: Vector3,
     the other atom weighing 0, whose +0.0 changes no bit.
     """
     p, q = dist.p_plus, dist.p_minus
-    value, plus, minus = map(Multivector, zip(*_atom_sums(
-        product_fn, a, b, kind, ((p, q), (p, 0.0), (0.0, q)))))
+    [(columns, _)] = _atom_sums(product_fn, a, b, (kind,), ((p, q), (p, 0.0), (0.0, q)))
+    value, plus, minus = map(Multivector, zip(*columns))
     total = measure_total(dist, kind)
     return ExpectationResult(
         value=value,
@@ -162,44 +186,58 @@ class Sweep:
         return tuple(map(Multivector, zip(*self.columns)))
 
 
-def sweep(product_fn: ProductForm, a: Vector3, b: Vector3, kind: MeasureKind,
-          grid: tuple[float, ...] = DEFAULT_P_GRID,
-          tol: float = DEFAULT_TOLERANCE) -> Sweep:
-    """The expectation at every grid point from two product evaluations,
-    built one coefficient slot at a time across the whole grid.
+def sweeps(product_fn: ProductForm, a: Vector3, b: Vector3, kinds,
+           grid: tuple[float, ...] = DEFAULT_P_GRID,
+           tol: float = DEFAULT_TOLERANCE) -> dict[MeasureKind, Sweep]:
+    """One product form under each of ``kinds``: the expectation at every
+    grid point from two product evaluations, one coefficient slot at a time.
 
-    Each value is the atom sum that ``expectation`` computes, run over the
-    grid, so it equals ``expectation(...).value`` bitwise.  A grade norm is
-    ``grade_norm``'s root of the squares ``c * c`` added left to right from
-    0.0, over the grade's slots that are nonzero somewhere on the grid, in slot
-    order: each dropped term is ``(+-0.0) * (+-0.0)``, that is +0.0, and adding
-    +0.0 to a sum of squares changes no bit.  The support peaks are the maxima
-    of those norms, NaN where a norm is NaN, and a grade with a NaN peak counts
-    as absent.
+    Each value is ``expectation``'s atom sum, bit for bit.  A grade norm is
+    ``grade_norm``'s root of the squares ``c * c`` added left to right over
+    the grade's slots with weights not both zero (a dropped square, +0.0,
+    changes no bit), computed once per ordered tuple of the slots' inner sums,
+    which a negated column shares with its source as it has the same squares.
+    A peak is the root of the largest square, or NaN where one is NaN; a grade
+    with a NaN peak counts as absent.
     """
     grid = tuple(grid)
     # One pass checks the grid (a NaN fails both comparisons) and weighs it.
     points = [(p, 1.0 - p) for p in grid if 0.0 <= p <= 1.0]
     if not grid or len(points) < len(grid):
         raise ValueError("p-grid must be non-empty with every point in [0, 1]")
-    columns = _atom_sums(product_fn, a, b, kind, points)
     zeros = (0.0,) * len(grid)
-    grade_norms = []
-    for k in GRADES:
-        squares = zeros
-        for i in GRADE_SLOTS[k]:
-            if any(columns[i]):
-                squares = [s + c * c for s, c in zip(squares, columns[i])]
-        grade_norms.append(zeros if squares is zeros else tuple(map(math.sqrt, squares)))
-    # The peak of the shared zeros is +0.0, which the scan would find.
-    peaks = tuple(0.0 if norms is zeros else _max_magnitude(norms) for norms in grade_norms)
-    return Sweep(
-        grid=grid,
-        columns=tuple(columns),
-        grade_norms=tuple(grade_norms),
-        support=GradeSupport(frozenset(k for k in GRADES if peaks[k] > tol), peaks),
-        isotropic=expectation(product_fn, a, b, ISOTROPIC, kind, tol),
-    )
+    graded = {}  # ids of a grade's inner sums -> its norms and peak, if not all zero
+    swept = {}
+    for kind, (columns, sums) in zip(kinds, _atom_sums(product_fn, a, b, kinds, points)):
+        ids = tuple(map(id, sums))
+        found = []
+        for span in _GRADE_SPANS:
+            key = ids[span]
+            live = key not in graded and [c for c, x in zip(columns[span], sums[span]) if x]
+            if live:
+                squares = [c * c for c in live[0]]
+                for column in live[1:]:
+                    squares = [s + c * c for s, c in zip(squares, column)]
+                # Every square is >= 0 or NaN, so only a NaN makes their sum NaN.
+                graded[key] = tuple(map(math.sqrt, squares)), (
+                    math.nan if math.isnan(sum(squares)) else math.sqrt(max(squares)))
+            found.append(graded.get(key, (zeros, 0.0)))
+        grade_norms, peaks = zip(*found)
+        swept[kind] = Sweep(
+            grid=grid,
+            columns=columns,
+            grade_norms=grade_norms,
+            support=GradeSupport(frozenset(k for k in GRADES if peaks[k] > tol), peaks),
+            isotropic=expectation(product_fn, a, b, ISOTROPIC, kind, tol),
+        )
+    return swept
+
+
+def sweep(product_fn: ProductForm, a: Vector3, b: Vector3, kind: MeasureKind,
+          grid: tuple[float, ...] = DEFAULT_P_GRID,
+          tol: float = DEFAULT_TOLERANCE) -> Sweep:
+    """``sweeps`` under the one measure kind."""
+    return sweeps(product_fn, a, b, (kind,), grid, tol)[kind]
 
 
 def codomain_support(product_fn: ProductForm, a: Vector3, b: Vector3,

@@ -65,6 +65,13 @@ class Poly:
         other = _lift(other)
         return NotImplemented if other is None else self.terms == other.terms
 
+    def __hash__(self) -> int:
+        # The kernel keys its columns by their weights.  Consistent with __eq__:
+        # a constant hashes as the number it equals.
+        if set(self.terms) <= {()}:
+            return hash(self.terms.get((), 0))
+        return hash(frozenset(self.terms.items()))
+
     def __repr__(self) -> str:
         if not self.terms:
             return "0"

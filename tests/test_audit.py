@@ -164,20 +164,39 @@ def test_console_script_is_main_entry():
         assert tomllib.load(fh)["project"]["scripts"] == {"g3bell": "g3bell.cli:main_entry"}
 
 
+def _third_party_imports(source: str) -> list[str]:
+    """The absolute imports in ``source``, nested ones included, that name a
+    module outside the standard library."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [name for name in names if name != "__future__"
+                  and name.partition(".")[0] not in sys.stdlib_module_names]
+    return found
+
+
 def test_runtime_imports_only_the_stdlib():
     src = Path(g3bell.__file__).parent
     modules = sorted(src.glob("*.py"))
     assert modules
     for path in modules:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            for name in names:
-                assert name.partition(".")[0] in sys.stdlib_module_names, (path.name, name)
+        assert _third_party_imports(path.read_text()) == [], path.name
+
+
+@pytest.mark.parametrize("source, found", [
+    ("import numpy", ["numpy"]),
+    ("import os, numpy.linalg as la", ["numpy.linalg"]),
+    ("from numpy import float64", ["numpy"]),
+    ("def f():\n    import scipy.special\n", ["scipy.special"]),
+    ("from __future__ import annotations\nimport math\nfrom .ga import gp\n", []),
+])
+def test_stdlib_check_names_each_third_party_import(source, found):
+    assert _third_party_imports(source) == found
 
 
 def test_no_module_imports_a_name_it_never_uses():
@@ -448,11 +467,12 @@ def _scaled_quantum_target(a, b, quantum_target=audit.quantum_target):
     return 0.9 * quantum_target(a, b)
 
 
-def _scalar_weight_sweep_without_grade0(product_fn, a, b, kind, grid, tol):
+def _scalar_weight_sweeps_without_grade0(product_fn, a, b, kinds, grid, tol):
     # The scalar-weight expectation loses the -a.b part of every product.
-    if kind is MeasureKind.SCALAR_WEIGHTS:
-        return sweep(lambda a, b, hv: grade_project(product_fn(a, b, hv), 2), a, b, kind, grid, tol)
-    return sweep(product_fn, a, b, kind, grid, tol)
+    def lossy(a, b, hv):
+        return grade_project(product_fn(a, b, hv), 2)
+    return {kind: sweep(lossy if kind is MeasureKind.SCALAR_WEIGHTS else product_fn,
+                        a, b, kind, grid, tol) for kind in kinds}
 
 
 # One defect per row, planted in the model, the measure or the CHSH inputs, and
@@ -483,7 +503,7 @@ PLANTED_DEFECTS = {
         lambda mp: mp.setattr(audit, "lhv_bruteforce_bound", lambda: 3.0),
         {"lhv_bound_two"}),
     "scalar_weight_sweep_without_grade0": (
-        lambda mp: mp.setattr(audit, "sweep", _scalar_weight_sweep_without_grade0),
+        lambda mp: mp.setattr(audit, "sweeps", _scalar_weight_sweeps_without_grade0),
         {"scalar_weight_codomain"}),
     "quantum_target_zero": (
         lambda mp: mp.setattr(audit, "quantum_target", lambda a, b: 0.0),
@@ -918,6 +938,11 @@ _PLANTED_COLUMNS = {
     "signed_zeros": ({"e2": (0.0, -0.0, 0.5, -0.0, -0.25), "e123": (-0.0, 0.0, -0.0, 0.0, 1e-3)},
                      None),
     "integral": ({"scalar": (1.0, -1.0, 2.0, -0.5, 3.0), "e12": (-1.0,) * 5}, None),
+    # The parallel pair's directed e123 at p_step 0.002, in a 501-point sweep.
+    "integral_501": ({"e123": (-1.0,) * 501}, None),
+    # Texts that %.15g rounds to an integer.
+    "rounds_to_integral": ({"e12": (0.9999999999999999, -0.9999999999999999,
+                                    123456789012345.6, -123456789012345.6, 0.5)}, None),
     # %.15g turns to exponent form at 1e15, repr only at 1e16, with a "." in e1
     # and without one in e2; it also rounds 123456789012345.6 to an integer.
     "exponent_band": ({"e1": (1.25e15, 9.99999999999999e15, -1.5e15, 0.5, 0.25),
@@ -943,7 +968,9 @@ _PLANTED_COLUMNS = {
 @pytest.mark.parametrize("name", sorted(_PLANTED_COLUMNS))
 def test_json_document_writes_every_planted_cell_as_json_float(name):
     planting, message = _PLANTED_COLUMNS[name]
-    swept = sweep(product_identity, *_EXAMPLE_PAIR, MeasureKind.DIRECTED_TRIVECTOR, p_grid(0.25))
+    size, = {len(column) for column in planting.values()}
+    swept = sweep(product_identity, *_EXAMPLE_PAIR, MeasureKind.DIRECTED_TRIVECTOR,
+                  p_grid(1.0 / (size - 1)))
     columns = [planting.get(key, column) for key, column in zip(audit._MV_KEYS, swept.columns)]
     planted = dataclasses.replace(swept, grid=planting.get("p", swept.grid), columns=tuple(columns))
     tree = [0.5, {"probe": planted}]
@@ -961,6 +988,19 @@ def test_json_document_writes_every_planted_cell_as_json_float(name):
         assert [row["value"]["e3"] for row in json.loads(got)[1]["probe"]][2:5:2] == [_TOP, -_TOP]
     else:
         assert got == reference_emit_json(tree)
+
+
+def test_json_column_writes_integral_cells_without_json_float(monkeypatch):
+    calls = []
+    json_float = audit._json_float
+    monkeypatch.setattr(audit, "_json_float", lambda x: calls.append(x) or json_float(x))
+    column = (-1.0, 0.0, -0.0, 2.0, 0.9999999999999999, -123456789012345.6, 0.5, 1e15)
+    assert audit._json_column(column) == list(map(json_float, column))
+    assert audit._json_column((-1.0,) * 501) == ["-1.0"] * 501
+    assert calls == [1e15]  # the exponent form only
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            audit._json_column((0.5, x))
 
 
 def test_json_document_formats_each_grid_once_and_only_as_itself(monkeypatch):

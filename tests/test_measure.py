@@ -1,14 +1,19 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+import hypothesis
 from hypothesis import example, given, assume
 from hypothesis import strategies as st
 
-from g3bell.ga import GRADES, GradeSupport, I, Multivector, Vector3, ZERO, cross, dot
+from g3bell.audit import _KINDS
+from g3bell.ga import GRADES, GradeSupport, I, ONE, Multivector, Vector3, ZERO, cross, dot
 from g3bell.measure import (
+    _UNIT,
     DEFAULT_P_GRID,
     MeasureKind,
+    _atom_sums,
     codomain_support,
     expectation,
     is_valid_probability_measure,
@@ -17,6 +22,7 @@ from g3bell.measure import (
     p_grid,
     p_grid_size,
     sweep,
+    sweeps,
 )
 from g3bell.model import (
     ISOTROPIC,
@@ -347,6 +353,88 @@ def test_isotropic_average_keeps_subnormal_dot(tiny, kind, slot):
     assert _bits(result.value) == _bits(expected)
     swept = sweep(product_identity, Vector3(0.0, 0.0, 1.0), b, kind, (0.0, 0.5, 1.0))
     assert _bits(swept.values[1]) == _bits(expected)
+
+
+# --- both kinds in one pass against the expectation as first written ------------------
+
+def _hex_result(result):
+    """An expectation result as hex strings, so that NaN and -0.0 compare.  Of
+    the term support only the grades: ``GradeSupport.union``'s builtin max keeps
+    a NaN magnitude or drops it by argument order, and the reference unions
+    from zero."""
+    return ([c.hex() for c in result.value.coeffs], result.support.present,
+            [m.hex() for m in result.support.max_magnitude], result.term_support.present,
+            [c.hex() for c in result.measure_total.coeffs], result.valid_probability_measure)
+
+
+def _fixed(plus, minus):
+    """A product form that ignores the settings: ``plus`` at orientation +1."""
+    products = {+1: Multivector(plus), -1: Multivector(minus)}
+    return lambda a, b, hv: products[hv.orientation]
+
+
+# 1,1e-162,0:1,0,5e-162: the identity form's e23 is -+5e-324, which underflows to
+# -0.0 in 125 of the 501 scalar-weight e23 cells of the 0.002 grid.
+TINY_PAIR = (Vector3(1.0, 1e-162, 0.0), Vector3(1.0, 0.0, 5e-162))
+# -0.0 coefficients beside opposite weights; a bivector whose squares round
+# differently when added in reversed slot order, as the directed grade 1 adds them.
+SIGNED_ZEROS = _fixed((-0.0, 0.0, 1.5, -1.5, 0.3, 0.58, -0.81, -0.0),
+                      (2.0, -2.0, 0.25, -0.25, 0.3, 0.58, -0.81, 0.0))
+WITH_NAN = _fixed((0.5, 0.0, 0.0, 0.0, math.nan, 0.25, -0.5, 0.0),
+                  (0.5, 0.0, 0.0, 0.0, math.nan, -0.25, 0.5, 0.0))
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@given(forms, st.tuples(settings, settings), st.sampled_from([1.0, 0.25, 0.05, 0.002]),
+       st.just(I))
+@example(product_identity, TINY_PAIR, 0.002, I)
+@example(SIGNED_ZEROS, (E1V, E2V), 0.25, I)
+@example(WITH_NAN, (E1V, E2V), 0.25, I)
+@example(product_identity, (E1V, GENERIC), 0.05, ONE)  # the directed unit planted as 1
+def test_sweeps_of_both_kinds_bitwise_equal_reference(form, pair, step, directed_unit):
+    # The one-kind sweep never shares a column or a norm across kinds; this does.
+    grid = p_grid(step)
+    with mock.patch.dict(_UNIT, {DIRECTED: directed_unit}):
+        swept = sweeps(form, *pair, _KINDS, grid)
+        reference = {kind: [reference_expectation(form, *pair, OrientationDistribution(p), kind)
+                            for p in grid] for kind in _KINDS}
+        isotropic = {kind: reference_expectation(form, *pair, ISOTROPIC, kind)
+                     for kind in _KINDS}
+    assert list(swept) == list(_KINDS)
+    for kind, s in swept.items():
+        values = [result.value for result in reference[kind]]
+        assert s.grid == grid
+        assert [[c.hex() for c in column] for column in s.columns] == \
+            [[v.coeffs[i].hex() for v in values] for i in range(8)]
+        norms = [[v.grade_norm(k) for v in values] for k in GRADES]
+        assert [[n.hex() for n in column] for column in s.grade_norms] == \
+            [[n.hex() for n in column] for column in norms]
+        peaks = [math.nan if any(map(math.isnan, n)) else max(n) for n in norms]
+        assert [m.hex() for m in s.support.max_magnitude] == [m.hex() for m in peaks]
+        assert s.support.present == {k for k in GRADES if peaks[k] > TOL}
+        assert _hex_result(s.isotropic) == _hex_result(isotropic[kind])
+
+
+def test_tiny_pair_sweeps_keep_the_sign_of_underflowed_zeros():
+    grid = p_grid(0.002)
+    swept = sweeps(product_identity, *TINY_PAIR, _KINDS, grid)
+    scalar_e23 = swept[SCALAR].columns[6]
+    assert [c.hex() for c in scalar_e23].count("-0x0.0p+0") == 125
+    # The directed e1 is the negated e23, each underflowed zero's sign flipped
+    # with it, but for the exact +0.0 at p = 1/2.
+    negated = [(-c).hex() for c in scalar_e23]
+    negated[grid.index(0.5)] = scalar_e23[grid.index(0.5)].hex()
+    assert negated.count("0x0.0p+0") == 126
+    assert [c.hex() for c in swept[DIRECTED].columns[1]] == negated
+
+
+@pytest.mark.parametrize("form", [product_identity, product_raw])
+def test_atom_sums_are_never_negative_zero(form):
+    # Every weight here is negative or zero, so each term t * 0.0 is -0.0 or
+    # +0.0; the trailing + 0.0 makes the sum +0.0, as 0.0 - x then needs.
+    a, b = Vector3(-S2, -S2, 0.0), Vector3(S2, S2 * 0.6, S2 * 0.8)
+    for columns, _ in _atom_sums(form, a, b, _KINDS, [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0)]):
+        assert {c.hex() for column in columns for c in column} == {"0x0.0p+0"}
 
 
 # --- functional structure across the family ------------------------------------------
