@@ -187,7 +187,7 @@ class GradeSupport:
     def union(self, other: GradeSupport) -> GradeSupport:
         return GradeSupport(
             self.present | other.present,
-            tuple(max(a, b) for a, b in zip(self.max_magnitude, other.max_magnitude)),
+            tuple(_max_magnitude([a, b]) for a, b in zip(self.max_magnitude, other.max_magnitude)),
         )
 
     def grades(self) -> tuple[int, ...]:
@@ -197,13 +197,13 @@ class GradeSupport:
 def gp(x: Multivector, y: Multivector) -> Multivector:
     """Geometric product, expanded through the basis Cayley table."""
     out = [0.0] * 8
+    # A NaN is kept, since NaN != 0.0.
+    ys = [(j, yj) for j, yj in enumerate(y.coeffs) if yj != 0.0]
     for i, xi in enumerate(x.coeffs):
         if xi == 0.0:
             continue
         row = _CAYLEY[i]
-        for j, yj in enumerate(y.coeffs):
-            if yj == 0.0:
-                continue
+        for j, yj in ys:
             sign, slot = row[j]
             out[slot] += sign * xi * yj
     return Multivector(tuple(out))
@@ -255,7 +255,7 @@ def ensure_unit(v: Vector3) -> Vector3:
 
     Written so that a NaN norm fails the check instead of slipping past it.
     """
-    n = v.norm()
+    n = math.sqrt(v.x * v.x + v.y * v.y + v.z * v.z)  # v.norm(), without its call
     if not (abs(n - 1.0) <= UNIT_TOLERANCE):
         raise NonUnitVectorError(f"expected a unit vector, got norm {n!r}")
     return v

@@ -7,8 +7,8 @@ so its valid-probability flag is always false.  Grade support of a
 functional is reported from a sweep over a distribution family, never from
 a single evaluation, because the isotropic point hides the non-scalar
 grades inside an exact zero.  ``sweeps`` sweeps one product form under
-several kinds in one pass, sharing each column of equal or opposite weights
-and each grade's norms; ``sweep`` is its one-kind case.
+several kinds in one pass, sharing each column of equal weights and each
+grade's norms; ``sweep`` is its one-kind case.
 """
 
 from __future__ import annotations
@@ -82,37 +82,27 @@ class ExpectationResult:
     valid_probability_measure: bool
 
 
-def _atom_sums(product_fn: ProductForm, a: Vector3, b: Vector3, kinds, points):
+def _atom_sums(product_fn: ProductForm, a: Vector3, b: Vector3, kinds, points, zeros=None):
     """The expectation at each point ``(p, q)``, p and q weighing the + and -
-    atoms, as one ``(columns, sums)`` pair per kind: ``columns[i][j]`` is slot
-    ``i`` at ``points[j]``; p may be a polynomial.  A column depends only on
-    its slot's weights ``(t, u)``: weights seen before share a column, zero
-    ones a column of zeros, and ``(-t, -u)`` seen before negates its inner
-    sums.  ``sums[i]`` holds those inner sums, ``()`` for the zeros."""
+    atoms, as one tuple of columns per kind: ``columns[i][j]`` is slot ``i`` at
+    ``points[j]``; p may be a polynomial.  A column depends only on its slot's
+    weights ``(t, u)``: weights seen before share a column, and zero ones the
+    column ``zeros``, by default a new tuple of +0.0."""
     # product*1, or product*I (a signed permutation), is exact at any scale.
     plus, minus = [product_fn(a, b, hv).scale(_SCALE) for hv in ORIENTATIONS]
-    zeros = (0.0,) * len(points), ()
-    seen = {}  # weights -> their column and inner sums
+    # +-0.0 keys are equal: the + 0.0 below erases the sign.
+    seen = {(0.0, 0.0): (0.0,) * len(points) if zeros is None else zeros}
     swept = []
     for kind in kinds:
         unit = _UNIT[kind]
-        cells = []
+        columns = []
         for t, u in zip(gp(plus, unit).coeffs, gp(minus, unit).coeffs):
-            # +-0.0 keys are equal: the + 0.0 below erases the sign.
-            cell = zeros if t == 0.0 and u == 0.0 else seen.get((t, u))
-            if cell is None:
-                flip = seen.get((-t, -u))
-                if flip is None:
-                    # (A + B) + 0.0 == (0.0 + A) + (0.0 + B) bitwise: never -0.0.
-                    x = [t * p + u * q + 0.0 for p, q in points]
-                    cell = tuple([_UNSCALE * v for v in x]), x
-                else:
-                    # Exact: 0.0 - x is -x, +0.0 where x is; an underflowed zero keeps its sign.
-                    x = flip[1]
-                    cell = tuple([_UNSCALE * (0.0 - v) for v in x]), x
-                seen[t, u] = cell
-            cells.append(cell)
-        swept.append(tuple(zip(*cells)))
+            column = seen.get((t, u))
+            if column is None:
+                # (A + B) + 0.0 == (0.0 + A) + (0.0 + B) bitwise: never -0.0.
+                column = seen[t, u] = tuple([_UNSCALE * (t * p + u * q + 0.0) for p, q in points])
+            columns.append(column)
+        swept.append(tuple(columns))
     return swept
 
 
@@ -126,7 +116,7 @@ def expectation(product_fn: ProductForm, a: Vector3, b: Vector3,
     the other atom weighing 0, whose +0.0 changes no bit.
     """
     p, q = dist.p_plus, dist.p_minus
-    [(columns, _)] = _atom_sums(product_fn, a, b, (kind,), ((p, q), (p, 0.0), (0.0, q)))
+    [columns] = _atom_sums(product_fn, a, b, (kind,), ((p, q), (p, 0.0), (0.0, q)))
     value, plus, minus = map(Multivector, zip(*columns))
     total = measure_total(dist, kind)
     return ExpectationResult(
@@ -195,8 +185,7 @@ def sweeps(product_fn: ProductForm, a: Vector3, b: Vector3, kinds,
     Each value is ``expectation``'s atom sum, bit for bit.  A grade norm is
     ``grade_norm``'s root of the squares ``c * c`` added left to right over
     the grade's slots with weights not both zero (a dropped square, +0.0,
-    changes no bit), computed once per ordered tuple of the slots' inner sums,
-    which a negated column shares with its source as it has the same squares.
+    changes no bit), computed once per ordered tuple of the live columns.
     A peak is the root of the largest square, or NaN where one is NaN; a grade
     with a NaN peak counts as absent.
     """
@@ -206,15 +195,14 @@ def sweeps(product_fn: ProductForm, a: Vector3, b: Vector3, kinds,
     if not grid or len(points) < len(grid):
         raise ValueError("p-grid must be non-empty with every point in [0, 1]")
     zeros = (0.0,) * len(grid)
-    graded = {}  # ids of a grade's inner sums -> its norms and peak, if not all zero
+    graded = {}  # ids of a grade's live columns -> their norms and peak, if any is live
     swept = {}
-    for kind, (columns, sums) in zip(kinds, _atom_sums(product_fn, a, b, kinds, points)):
-        ids = tuple(map(id, sums))
+    for kind, columns in zip(kinds, _atom_sums(product_fn, a, b, kinds, points, zeros)):
         found = []
         for span in _GRADE_SPANS:
-            key = ids[span]
-            live = key not in graded and [c for c, x in zip(columns[span], sums[span]) if x]
-            if live:
+            live = [c for c in columns[span] if c is not zeros]
+            key = tuple(map(id, live))
+            if live and key not in graded:
                 squares = [c * c for c in live[0]]
                 for column in live[1:]:
                     squares = [s + c * c for s, c in zip(squares, column)]

@@ -17,6 +17,7 @@ from .ga import (
     I,
     Multivector,
     Vector3,
+    _set_coeffs,
     cross,
     dot,
     ensure_unit,
@@ -72,16 +73,19 @@ def observable(a: Vector3, hv: HiddenVariable) -> Multivector:
 
     Written out from I*e1 = e23, I*e2 = -e13, I*e3 = e12; each slot adds to
     +0.0 as ``gp`` does, so the coefficients match ``gp(hv.mu, a)`` bitwise.
+    Built through the slot setter: a call of the class costs more than the store.
     """
     ensure_unit(a)
     lam = float(hv.orientation)
-    return Multivector((
+    mv = object.__new__(Multivector)
+    _set_coeffs(mv, (
         0.0, 0.0, 0.0, 0.0,
         0.0 + lam * a.z,
         0.0 + (-lam) * a.y,
         0.0 + lam * a.x,
         0.0,
     ))
+    return mv
 
 
 def product_identity(a: Vector3, b: Vector3, hv: HiddenVariable) -> Multivector:

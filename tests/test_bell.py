@@ -273,6 +273,17 @@ def test_unit_vectors_are_reference_unit_vectors(seed, zeros, extra_draws):
     assert fast.getstate()[1] == ref.getstate()[1]
 
 
+@pytest.mark.parametrize("seed", [0, 5, 77])
+def test_unit_vectors_are_class_built_vectors(seed):
+    # Each vector is stored through the slot setters, skipping __init__.
+    vector = _unit_vectors(random.Random(seed)).__next__
+    for _ in range(200):
+        v = vector()
+        built = Vector3(v.x, v.y, v.z)
+        assert type(v) is Vector3 and not hasattr(v, "__dict__")
+        assert v == built and hash(v) == hash(built) and repr(v) == repr(built)
+
+
 class _ScriptedGauss:
     """Stands in for random.Random, replaying fixed gauss draws."""
 

@@ -62,7 +62,7 @@ DIRECTED = MeasureKind.DIRECTED_TRIVECTOR
 def _expectation(form, kind):
     # The atom sum that expectation and sweep run, at the one point (p, 1 - p);
     # OrientationDistribution rejects a polynomial p in its range check.
-    [(columns, _)] = _atom_sums(form, A, B, (kind,), [(P, 1 - P)])
+    [columns] = _atom_sums(form, A, B, (kind,), [(P, 1 - P)])
     return Multivector(tuple(column[0] for column in columns))
 
 

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, assume, settings
+from hypothesis import example, given, assume, settings
 from hypothesis import strategies as st
 
 from g3bell.ga import (
@@ -16,6 +16,7 @@ from g3bell.ga import (
     Multivector,
     NonUnitVectorError,
     ONE,
+    UNIT_TOLERANCE,
     Vector3,
     ZERO,
     cross,
@@ -66,6 +67,25 @@ def test_gp_basis_examples(x, y, expected):
 @given(multivectors, multivectors)
 def test_gp_matches_oracle_on_random_multivectors(x, y):
     assert gp(x, y).coeffs == oracle_gp(x.coeffs, y.coeffs)
+
+
+special = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -1e300])
+any_multivectors = st.tuples(*[st.one_of(coeffs, special)] * 8).map(Multivector)
+SIGNED = Multivector((-0.0, 1.0, -0.0, 0.0, 0.5, -0.0, -2.0, -0.0))
+
+
+@given(any_multivectors, any_multivectors)
+@example(SIGNED, Multivector((0.0, -0.0, -1.0, 0.0, -0.0, 0.25, 0.0, -0.0)))
+@example(SIGNED, Multivector.blade(3, math.nan))
+@example(Multivector.blade(0, math.nan), SIGNED)
+@example(Multivector((math.inf, 0.0, -0.0, 0.0, 0.0, 0.0, 1.0, 0.0)), SIGNED)
+@example(SIGNED, Multivector.blade(0, -math.inf))
+@example(SIGNED, I)
+@example(Multivector((1.0, 2.0, -3.0, 0.5, -0.0, 1e-300, 7.0, -1.5)), I)
+def test_gp_is_the_double_loop_over_all_slot_pairs_bitwise(x, y):
+    # oracle_gp visits every (i, j) pair, skipping a zero of either factor but
+    # not a NaN, and adds in (i, j) order; gp lists y's kept slots once.
+    assert [c.hex() for c in gp(x, y).coeffs] == [c.hex() for c in oracle_gp(x.coeffs, y.coeffs)]
 
 
 # --- grade projection -------------------------------------------------------
@@ -215,6 +235,14 @@ def test_grade_support_union():
     assert u.grades() == (0, 2)
 
 
+def test_grade_support_union_keeps_a_nan_magnitude_from_either_side():
+    finite = GradeSupport(frozenset({0}), (1.0, 0.0, 2.0, 0.0))
+    with_nan = GradeSupport(frozenset(), (0.5, math.nan, 0.0, 3.0))
+    for u in (finite.union(with_nan), with_nan.union(finite)):
+        assert [m.hex() for m in u.max_magnitude] == [m.hex() for m in (1.0, math.nan, 2.0, 3.0)]
+        assert u.present == frozenset({0})
+
+
 # --- vectors and validation -------------------------------------------------
 
 def test_ensure_unit_accepts_within_tolerance():
@@ -237,6 +265,31 @@ def test_ensure_unit_rejects_non_unit():
 def test_ensure_unit_rejects_non_finite(bad):
     with pytest.raises(NonUnitVectorError):
         ensure_unit(bad)
+
+
+components = st.one_of(st.floats(), st.sampled_from([5e-324, -2.225e-308, 1e200, -1e308]))
+
+
+@given(st.one_of(unit_vectors(), st.tuples(components, components, components).map(
+    lambda xyz: Vector3(*xyz))))
+@example(Vector3(5e-324, 0.0, -5e-324))
+@example(Vector3(1e200, -1e200, 0.0))
+@example(Vector3(1e154, 0.0, 0.0))
+@example(Vector3(0.0, math.nan, 1.0))
+@example(Vector3(math.inf, 0.0, 0.0))
+@example(Vector3(math.inf, math.nan, 0.0))
+@example(Vector3(0.6, 0.8, 0.0))
+def test_ensure_unit_checks_the_bits_of_norm(v):
+    # The norm is written out in ensure_unit; it must be v.norm(), bit for bit.
+    n = v.norm()
+    if abs(n - 1.0) <= UNIT_TOLERANCE:
+        assert ensure_unit(v) is v
+        return
+    with pytest.raises(NonUnitVectorError) as raised:
+        ensure_unit(v)
+    message = str(raised.value)
+    assert message == f"expected a unit vector, got norm {n!r}"
+    assert float(message.rpartition(" ")[2]).hex() == n.hex()
 
 
 def test_normalized_zero_vector_raises():

@@ -358,12 +358,10 @@ def test_isotropic_average_keeps_subnormal_dot(tiny, kind, slot):
 # --- both kinds in one pass against the expectation as first written ------------------
 
 def _hex_result(result):
-    """An expectation result as hex strings, so that NaN and -0.0 compare.  Of
-    the term support only the grades: ``GradeSupport.union``'s builtin max keeps
-    a NaN magnitude or drops it by argument order, and the reference unions
-    from zero."""
-    return ([c.hex() for c in result.value.coeffs], result.support.present,
-            [m.hex() for m in result.support.max_magnitude], result.term_support.present,
+    """An expectation result as hex strings, so that NaN and -0.0 compare."""
+    return ([c.hex() for c in result.value.coeffs],
+            *[(s.present, [m.hex() for m in s.max_magnitude])
+              for s in (result.support, result.term_support)],
             [c.hex() for c in result.measure_total.coeffs], result.valid_probability_measure)
 
 
@@ -428,12 +426,28 @@ def test_tiny_pair_sweeps_keep_the_sign_of_underflowed_zeros():
     assert [c.hex() for c in swept[DIRECTED].columns[1]] == negated
 
 
+@pytest.mark.parametrize("kind", _KINDS)
+@pytest.mark.parametrize("form", [
+    WITH_NAN,
+    _fixed((0.5, 0.0, 0.0, 0.0, math.nan, 0.25, -0.5, 0.0),
+           (0.5, 0.0, 0.0, 0.0, 0.3, 0.25, math.nan, 0.0)),
+], ids=["same_slot", "other_slot"])
+def test_term_support_keeps_a_nan_grade_as_the_reference_does(form, kind):
+    # The reference unions each atom's term support into a zero one, so a NaN
+    # magnitude must survive as union's second argument as well as its first.
+    for p in (0.3, 0.5):
+        dist = OrientationDistribution(p)
+        result = expectation(form, E1V, E2V, dist, kind)
+        assert _hex_result(result) == _hex_result(reference_expectation(form, E1V, E2V, dist, kind))
+        assert math.isnan(result.term_support.max_magnitude[2 if kind is SCALAR else 1])
+
+
 @pytest.mark.parametrize("form", [product_identity, product_raw])
 def test_atom_sums_are_never_negative_zero(form):
     # Every weight here is negative or zero, so each term t * 0.0 is -0.0 or
-    # +0.0; the trailing + 0.0 makes the sum +0.0, as 0.0 - x then needs.
+    # +0.0; the trailing + 0.0 makes the sum +0.0, for weights of either sign.
     a, b = Vector3(-S2, -S2, 0.0), Vector3(S2, S2 * 0.6, S2 * 0.8)
-    for columns, _ in _atom_sums(form, a, b, _KINDS, [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0)]):
+    for columns in _atom_sums(form, a, b, _KINDS, [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0)]):
         assert {c.hex() for column in columns for c in column} == {"0x0.0p+0"}
 
 

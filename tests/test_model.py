@@ -22,6 +22,7 @@ from g3bell.ga import (
     grade_audit,
     grade_project,
 )
+import g3bell.model
 from g3bell.model import (
     ORIENTATIONS,
     HiddenVariable,
@@ -142,6 +143,25 @@ def test_observable_examples():
 def test_observable_rejects_non_unit():
     with pytest.raises(NonUnitVectorError):
         observable(Vector3(1, 1, 0), PLUS)
+
+
+@given(unit_vectors(), st.sampled_from(ORIENTATIONS))
+def test_observable_is_the_class_built_multivector(a, hv):
+    # observable stores its coefficients through the slot setter, skipping __init__.
+    mv = observable(a, hv)
+    built = Multivector(mv.coeffs)
+    assert type(mv) is Multivector and not hasattr(mv, "__dict__")
+    assert mv == built and hash(mv) == hash(built) and repr(mv) == repr(built)
+    assert [c.hex() for c in mv.coeffs] == [c.hex() for c in gp(hv.mu, a.as_multivector()).coeffs]
+
+
+def test_observable_checks_its_setting_through_the_module_hook(monkeypatch):
+    # The exact proofs replace g3bell.model.ensure_unit; observable must call it.
+    calls = []
+    monkeypatch.setattr(g3bell.model, "ensure_unit", calls.append)
+    for n, hv in enumerate(ORIENTATIONS * 2, start=1):
+        observable(E1V, hv)
+        assert calls == [E1V] * n
 
 
 @given(unit_vectors(), st.sampled_from(ORIENTATIONS))
