@@ -660,7 +660,13 @@ def _json_column(column) -> list[str]:
     """``_json_float`` of each value, from one ``%.15g`` pass: ``_json_float``
     keeps that text exactly when it has a ``.`` and no ``e``, adds ``.0`` to an
     integral one (``-0`` is ``0.0``), and redoes only exponent forms, NaN and
-    the infinities."""
+    the infinities.  A column with repeated values formats each distinct one
+    once, in order of first appearance, so a NaN or infinity still raises from
+    the first in the column; 0.0 and -0.0 share a key, both written ``0.0``."""
+    distinct = dict.fromkeys(column)
+    if len(distinct) < len(column):
+        cells = dict(zip(distinct, _json_column(tuple(distinct))))
+        return list(map(cells.__getitem__, column))
     text = "%.15g " * len(column) % tuple(column)
     cells = text.split()
     if text.count(".") < len(cells) or "e" in text:

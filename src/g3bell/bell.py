@@ -92,29 +92,35 @@ def make_scalarizer(name: str, fn: ScalarizerFn) -> Scalarizer:
     return Scalarizer(name, fn)
 
 
+def _grade0_projection(a: Vector3, hv: HiddenVariable) -> float:
+    return observable(a, hv).coeffs[0]
+
+
+def _orientation_sign(a: Vector3, hv: HiddenVariable) -> float:
+    return float(hv.orientation)
+
+
+def _component_sign(a: Vector3, hv: HiddenVariable) -> float:
+    # a.z is a's component along the reference axis e3; ties at zero resolve to +1.
+    return float(hv.orientation) * (1.0 if a.z >= 0.0 else -1.0)
+
+
+_DEFAULT_SCALARIZERS = (
+    make_scalarizer("grade0_projection", _grade0_projection),
+    make_scalarizer("orientation_sign", _orientation_sign),
+    make_scalarizer("component_sign", _component_sign),
+)
+
+
 def default_scalarizers() -> tuple[Scalarizer, ...]:
-    """The three registered scalarizations.
+    """The three registered scalarizations, one tuple registered at import.
 
     Qualitatively different choices, all factorizing: the grade-0 projection
     of the observable (identically zero, since observables are bivectors),
     the bare orientation sign, and the orientation sign keyed to the
     setting's component along a reference axis.
     """
-    def grade0_projection(a: Vector3, hv: HiddenVariable) -> float:
-        return observable(a, hv).coeffs[0]
-
-    def orientation_sign(a: Vector3, hv: HiddenVariable) -> float:
-        return float(hv.orientation)
-
-    def component_sign(a: Vector3, hv: HiddenVariable) -> float:
-        # a.z is a's component along the reference axis e3; ties at zero resolve to +1.
-        return float(hv.orientation) * (1.0 if a.z >= 0.0 else -1.0)
-
-    return (
-        make_scalarizer("grade0_projection", grade0_projection),
-        make_scalarizer("orientation_sign", orientation_sign),
-        make_scalarizer("component_sign", component_sign),
-    )
+    return _DEFAULT_SCALARIZERS
 
 
 def scalar_correlation(s: Scalarizer, a: Vector3, b: Vector3,

@@ -43,10 +43,10 @@ class NonUnitVectorError(ValueError):
     """A direction argument was not a unit vector within tolerance."""
 
 
-def _max_magnitude(magnitudes: list[float]) -> float:
-    # The builtin max keeps its running maximum past a NaN, since every
-    # comparison with NaN is false; returning NaN makes every `<= tol` fail.
-    return math.nan if any(map(math.isnan, magnitudes)) else max(magnitudes)
+def _max_magnitude(magnitudes) -> float:
+    # A NaN fails every `<= tol`, but the builtin max keeps its maximum past one.
+    # Magnitudes are >= 0 or NaN, so their sum is NaN exactly when one is NaN.
+    return math.nan if math.isnan(sum(magnitudes)) else max(magnitudes)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -185,10 +185,9 @@ class GradeSupport:
     max_magnitude: tuple[float, float, float, float]
 
     def union(self, other: GradeSupport) -> GradeSupport:
-        return GradeSupport(
-            self.present | other.present,
-            tuple(_max_magnitude([a, b]) for a, b in zip(self.max_magnitude, other.max_magnitude)),
-        )
+        # _max_magnitude([a, b]) per grade, without its list: a NaN on either side is kept.
+        return GradeSupport(self.present | other.present, tuple([
+            b if b > a or b != b else a for a, b in zip(self.max_magnitude, other.max_magnitude)]))
 
     def grades(self) -> tuple[int, ...]:
         return tuple(sorted(self.present))
@@ -245,9 +244,11 @@ def grade_audit(x: Multivector, tol: float = DEFAULT_TOLERANCE) -> GradeSupport:
     """Grade support of a single multivector at the given tolerance."""
     if tol <= 0.0:
         raise ValueError("audit tolerance must be positive")
-    mags = tuple(x.grade_norm(k) for k in GRADES)
-    present = frozenset(k for k in GRADES if mags[k] > tol)
-    return GradeSupport(present, mags)
+    # grade_norm's sums written out: 0.0 + c * c is c * c, bit for bit.
+    s, x1, x2, x3, b1, b2, b3, t = x.coeffs
+    mags = (math.sqrt(s * s), math.sqrt(x1 * x1 + x2 * x2 + x3 * x3),
+            math.sqrt(b1 * b1 + b2 * b2 + b3 * b3), math.sqrt(t * t))
+    return GradeSupport(frozenset([k for k in GRADES if mags[k] > tol]), mags)
 
 
 def ensure_unit(v: Vector3) -> Vector3:

@@ -26,6 +26,7 @@ from .ga import (
     ONE,
     Multivector,
     Vector3,
+    _max_magnitude,
     grade_audit,
     gp,
 )
@@ -50,8 +51,10 @@ _UNIT = {MeasureKind.SCALAR_WEIGHTS: ONE, MeasureKind.DIRECTED_TRIVECTOR: I}
 
 
 def measure_total(dist: OrientationDistribution, kind: MeasureKind) -> Multivector:
-    """Total weight of the measure: scalar 1, or the trivector I."""
-    return _UNIT[kind].scale(dist.p_plus) + _UNIT[kind].scale(dist.p_minus)
+    """Total weight of the measure: scalar 1, or the trivector I.  Each slot is
+    that of ``unit.scale(p) + unit.scale(1 - p)``, built without temporaries."""
+    p, q = dist.p_plus, dist.p_minus
+    return Multivector(tuple([p * u + q * u for u in _UNIT[kind].coeffs]))
 
 
 def measure_total_columns(grid: tuple[float, ...],
@@ -63,7 +66,7 @@ def measure_total_columns(grid: tuple[float, ...],
 
 def is_valid_probability_measure(total: Multivector, tol: float) -> bool:
     """True iff the measure total is the scalar 1 within tolerance."""
-    return total.max_abs_diff(Multivector.scalar(1.0)) <= tol
+    return total.max_abs_diff(ONE) <= tol
 
 
 @dataclass(frozen=True)
@@ -82,21 +85,27 @@ class ExpectationResult:
     valid_probability_measure: bool
 
 
+def _atom_weights(product_fn: ProductForm, a: Vector3, b: Vector3, kinds):
+    """Per kind, each coefficient slot's atom weights ``(t, u)``: that slot of
+    the + and - atoms' products times the kind's unit, at the 2**54 scale."""
+    # product*1, or product*I (a signed permutation), is exact at any scale.
+    plus, minus = [product_fn(a, b, hv).scale(_SCALE) for hv in ORIENTATIONS]
+    return [tuple(zip(gp(plus, _UNIT[kind]).coeffs, gp(minus, _UNIT[kind]).coeffs))
+            for kind in kinds]
+
+
 def _atom_sums(product_fn: ProductForm, a: Vector3, b: Vector3, kinds, points, zeros=None):
     """The expectation at each point ``(p, q)``, p and q weighing the + and -
     atoms, as one tuple of columns per kind: ``columns[i][j]`` is slot ``i`` at
     ``points[j]``; p may be a polynomial.  A column depends only on its slot's
     weights ``(t, u)``: weights seen before share a column, and zero ones the
     column ``zeros``, by default a new tuple of +0.0."""
-    # product*1, or product*I (a signed permutation), is exact at any scale.
-    plus, minus = [product_fn(a, b, hv).scale(_SCALE) for hv in ORIENTATIONS]
     # +-0.0 keys are equal: the + 0.0 below erases the sign.
     seen = {(0.0, 0.0): (0.0,) * len(points) if zeros is None else zeros}
     swept = []
-    for kind in kinds:
-        unit = _UNIT[kind]
+    for weights in _atom_weights(product_fn, a, b, kinds):
         columns = []
-        for t, u in zip(gp(plus, unit).coeffs, gp(minus, unit).coeffs):
+        for t, u in weights:
             column = seen.get((t, u))
             if column is None:
                 # (A + B) + 0.0 == (0.0 + A) + (0.0 + B) bitwise: never -0.0.
@@ -112,12 +121,15 @@ def expectation(product_fn: ProductForm, a: Vector3, b: Vector3,
     """Sum of product_fn(a, b, lambda) times the atom weight, over lambda.
 
     The weight multiplies on the right; I is central in G3, so the side
-    does not matter for the directed kind.  A per-atom term is the sum with
-    the other atom weighing 0, whose +0.0 changes no bit.
+    does not matter for the directed kind.  The value is the atom sum at
+    ``(p, 1 - p)``.  Each per-atom term weighs its atom alone, so a NaN or
+    infinite coefficient of one atom leaves the other atom's term as it is.
     """
     p, q = dist.p_plus, dist.p_minus
-    [columns] = _atom_sums(product_fn, a, b, (kind,), ((p, q), (p, 0.0), (0.0, q)))
-    value, plus, minus = map(Multivector, zip(*columns))
+    [weights] = _atom_weights(product_fn, a, b, (kind,))
+    value = Multivector(tuple([_UNSCALE * (t * p + u * q + 0.0) for t, u in weights]))
+    plus = Multivector(tuple([_UNSCALE * (t * p + 0.0) for t, _ in weights]))
+    minus = Multivector(tuple([_UNSCALE * (u * q + 0.0) for _, u in weights]))
     total = measure_total(dist, kind)
     return ExpectationResult(
         value=value,
@@ -185,9 +197,10 @@ def sweeps(product_fn: ProductForm, a: Vector3, b: Vector3, kinds,
     Each value is ``expectation``'s atom sum, bit for bit.  A grade norm is
     ``grade_norm``'s root of the squares ``c * c`` added left to right over
     the grade's slots with weights not both zero (a dropped square, +0.0,
-    changes no bit), computed once per ordered tuple of the live columns.
-    A peak is the root of the largest square, or NaN where one is NaN; a grade
-    with a NaN peak counts as absent.
+    changes no bit), computed in one pass per ordered tuple of the live
+    columns.  A peak is the largest norm (``sqrt`` is monotone and correctly
+    rounded, so it is the root of the largest square), or NaN where a norm is
+    NaN; a grade with a NaN peak counts as absent.
     """
     grid = tuple(grid)
     # One pass checks the grid (a NaN fails both comparisons) and weighs it.
@@ -195,6 +208,7 @@ def sweeps(product_fn: ProductForm, a: Vector3, b: Vector3, kinds,
     if not grid or len(points) < len(grid):
         raise ValueError("p-grid must be non-empty with every point in [0, 1]")
     zeros = (0.0,) * len(grid)
+    sqrt = math.sqrt
     graded = {}  # ids of a grade's live columns -> their norms and peak, if any is live
     swept = {}
     for kind, columns in zip(kinds, _atom_sums(product_fn, a, b, kinds, points, zeros)):
@@ -203,12 +217,13 @@ def sweeps(product_fn: ProductForm, a: Vector3, b: Vector3, kinds,
             live = [c for c in columns[span] if c is not zeros]
             key = tuple(map(id, live))
             if live and key not in graded:
-                squares = [c * c for c in live[0]]
-                for column in live[1:]:
-                    squares = [s + c * c for s, c in zip(squares, column)]
-                # Every square is >= 0 or NaN, so only a NaN makes their sum NaN.
-                graded[key] = tuple(map(math.sqrt, squares)), (
-                    math.nan if math.isnan(sum(squares)) else math.sqrt(max(squares)))
+                if len(live) == 3:
+                    norms = tuple([sqrt(x * x + y * y + z * z) for x, y, z in zip(*live)])
+                elif len(live) == 2:
+                    norms = tuple([sqrt(x * x + y * y) for x, y in zip(*live)])
+                else:
+                    norms = tuple([sqrt(x * x) for x in live[0]])
+                graded[key] = norms, _max_magnitude(norms)
             found.append(graded.get(key, (zeros, 0.0)))
         grade_norms, peaks = zip(*found)
         swept[kind] = Sweep(

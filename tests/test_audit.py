@@ -954,6 +954,14 @@ _PLANTED_COLUMNS = {
     "list_column": ({"e13": [0.1, -0.2, 0.0, 1.0, 1e-7]}, None),
     # Zero everywhere, grid included: still one row per grid point.
     "all_zero": ({key: (0.0,) * 5 for key in ("p", *audit._MV_KEYS)}, None),
+    # Repeated values, each distinct one formatted once: both zeros, an integral
+    # value and exponent forms below 1e-4 among them.
+    "repeated": ({"e1": (1e-5, 0.0, -0.0, 1e-5, 2.0), "e2": (0.25, -0.0, 0.25, 0.0, 0.25),
+                  "e3": (-3e-7, 2.0, -3e-7, 2.0, -3e-7)}, None),
+    # A repeated NaN, after a repeated -inf in a later column of an earlier row.
+    "repeated_nan": ({"e1": (0.5, 0.5, math.nan, math.nan, 0.5),
+                      "e12": (0.5, -math.inf, 0.5, -math.inf, 0.5)},
+                     "Out of range float values are not JSON compliant: -inf"),
     # e1 is infinite in the last row, e13 (a later column) NaN in the first.
     "nan_before_inf": ({"e1": (0.5, 0.5, 0.5, 0.5, math.inf),
                         "e13": (math.nan, 0.5, 0.5, 0.5, 0.5)},
@@ -1001,6 +1009,27 @@ def test_json_column_writes_integral_cells_without_json_float(monkeypatch):
     for x in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="not JSON compliant"):
             audit._json_column((0.5, x))
+
+
+def test_json_column_formats_each_distinct_value_once(monkeypatch):
+    calls = []
+    json_float = audit._json_float
+    monkeypatch.setattr(audit, "_json_float", lambda x: calls.append(x) or json_float(x))
+    column = (1e-5, 0.5, 1e-5, -0.0, 0.0, 3.0, 1e-5, 3.0, -0.0, 2.5e-300)
+    assert audit._json_column(column) == [json_float(x) for x in column]
+    assert calls == [1e-5, 2.5e-300]
+    # The directed identity probe's e123 holds 3 distinct values in 501.
+    e123 = sweep(product_identity, *_EXAMPLE_PAIR, MeasureKind.DIRECTED_TRIVECTOR,
+                 p_grid(0.002)).columns[7]
+    assert len(set(e123)) == 3 and len(e123) == 501
+    assert audit._json_column(e123) == [json_float(x) for x in e123]
+    # A non-finite value raises, naming the first in row order, repeated or not.
+    nan = math.nan
+    for column, first in [((0.5, -0.0, 0.5, nan, math.inf, nan), "nan"),
+                          ((0.5, math.inf, 0.5, nan, nan, math.inf), "inf"),
+                          ((-0.0, 0.0, -math.inf, nan, -math.inf), "-inf")]:
+        with pytest.raises(ValueError, match=f"not JSON compliant: {first}$"):
+            audit._json_column(column)
 
 
 def test_json_document_formats_each_grid_once_and_only_as_itself(monkeypatch):

@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 import random
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from g3bell.ga import NonUnitVectorError, Vector3, dot
 from g3bell import bell
+from g3bell.audit import AuditConfig, run_audit
 from g3bell.model import ORIENTATIONS, OrientationDistribution
 from g3bell.bell import (
     DEFAULT_ANGLES_DEG,
@@ -171,6 +173,21 @@ def test_non_real_scalarizer_rejected():
 def test_registered_names():
     names = [s.name for s in default_scalarizers()]
     assert names == ["grade0_projection", "orientation_sign", "component_sign"]
+
+
+def test_default_scalarizers_are_registered_once(monkeypatch):
+    assert default_scalarizers() is default_scalarizers()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scalarizer was registered during an audit")
+
+    # Registration runs make_scalarizer, which reads each map's signature.
+    monkeypatch.setattr(bell, "make_scalarizer", refuse)
+    monkeypatch.setattr(inspect, "signature", refuse)
+    report = run_audit(AuditConfig(p_step=0.5, trials=20))
+    assert report.all_confirmed()
+    assert list(report.document["chsh"]["scalarizer_maxima"]) == \
+        [s.name for s in default_scalarizers()]
 
 
 # --- scalarizer audit ------------------------------------------------------------------------

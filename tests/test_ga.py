@@ -19,6 +19,7 @@ from g3bell.ga import (
     UNIT_TOLERANCE,
     Vector3,
     ZERO,
+    _max_magnitude,
     cross,
     dot,
     ensure_unit,
@@ -219,6 +220,15 @@ def test_grade_audit_records_magnitudes():
     assert support.max_magnitude[1] == 5.0
 
 
+@given(st.tuples(*[st.floats()] * 8).map(Multivector))
+@example(Multivector((5e-324, 1e200, -1e200, 0.0, math.nan, 3.0, -0.0, -math.inf)))
+@example(Multivector((-0.0, 1.5e-323, -2.5e-323, 5e-324, 1e154, 1e154, 1e154, 1e-170)))
+def test_grade_audit_magnitudes_bitwise_equal_grade_norm(x):
+    support = grade_audit(x, TOL)
+    assert [m.hex() for m in support.max_magnitude] == [x.grade_norm(k).hex() for k in range(4)]
+    assert support.present == {k for k in range(4) if x.grade_norm(k) > TOL}
+
+
 def test_grade_audit_rejects_nonpositive_tolerance():
     with pytest.raises(ValueError):
         grade_audit(ONE, 0.0)
@@ -241,6 +251,30 @@ def test_grade_support_union_keeps_a_nan_magnitude_from_either_side():
     for u in (finite.union(with_nan), with_nan.union(finite)):
         assert [m.hex() for m in u.max_magnitude] == [m.hex() for m in (1.0, math.nan, 2.0, 3.0)]
         assert u.present == frozenset({0})
+
+
+def _nan_aware_max(magnitudes):
+    return math.nan if any(map(math.isnan, magnitudes)) else max(magnitudes)
+
+
+# Magnitudes: >= 0, infinite or NaN.
+magnitudes = st.one_of(st.floats(min_value=0.0), st.just(math.nan))
+
+
+@given(st.lists(magnitudes, min_size=1))
+@example([1e308, 1e308, 0.5])  # the sum overflows, with no NaN
+@example([math.inf, 1.0, math.inf])
+@example([2.0, math.nan])
+def test_max_magnitude_is_nan_aware_max(ms):
+    assert _max_magnitude(ms).hex() == _nan_aware_max(ms).hex()
+
+
+@given(st.tuples(*[magnitudes] * 8))
+@example((0.0, math.nan, math.inf, 2.0, math.nan, 0.0, 1.0, math.inf))
+def test_grade_support_union_is_max_magnitude_per_grade(ms):
+    a, b = GradeSupport(frozenset(), ms[:4]), GradeSupport(frozenset(), ms[4:])
+    assert [m.hex() for m in a.union(b).max_magnitude] == \
+        [_nan_aware_max([x, y]).hex() for x, y in zip(ms[:4], ms[4:])]
 
 
 # --- vectors and validation -------------------------------------------------

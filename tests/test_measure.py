@@ -8,7 +8,7 @@ from hypothesis import example, given, assume
 from hypothesis import strategies as st
 
 from g3bell.audit import _KINDS
-from g3bell.ga import GRADES, GradeSupport, I, ONE, Multivector, Vector3, ZERO, cross, dot
+from g3bell.ga import GRADE_SLOTS, GRADES, GradeSupport, I, ONE, Multivector, Vector3, ZERO, cross, dot
 from g3bell.measure import (
     _UNIT,
     DEFAULT_P_GRID,
@@ -440,6 +440,60 @@ def test_term_support_keeps_a_nan_grade_as_the_reference_does(form, kind):
         result = expectation(form, E1V, E2V, dist, kind)
         assert _hex_result(result) == _hex_result(reference_expectation(form, E1V, E2V, dist, kind))
         assert math.isnan(result.term_support.max_magnitude[2 if kind is SCALAR else 1])
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_atom_leaves_the_other_atoms_term(bad, kind):
+    # e12 is non-finite at orientation +1 only: the - atom's term stays finite.
+    form = _fixed((0.5, 0.0, 0.0, 0.0, bad, 0.0, 0.0, 0.0),
+                  (0.5, 0.0, 0.0, 0.0, 0.3, 0.0, 0.0, 0.0))
+    dist = OrientationDistribution(0.3)
+    result = expectation(form, E1V, E2V, dist, kind)
+    assert _hex_result(result) == _hex_result(reference_expectation(form, E1V, E2V, dist, kind))
+    bivector_grade = 2 if kind is SCALAR else 1
+    assert result.term_support.present == {0 if kind is SCALAR else 3, bivector_grade}
+    assert result.term_support.max_magnitude[bivector_grade].hex() == abs(bad).hex()
+
+
+# Coefficients whose squares are NaN, overflow, or underflow.
+_EDGE_COEFFS = (math.nan, 1e200, -1e200, 5e-324, -2.5e-320, 1e-170, 0.75)
+
+
+def _live_slots_forms():
+    """Fixed product forms with 1, 2 or 3 live slots in grades 1 and 2,
+    one edge coefficient planted among ordinary ones."""
+    forms = []
+    for live in (1, 2, 3):
+        for edge in _EDGE_COEFFS:
+            for at in range(live):
+                vector = [0.5, -0.25, 0.125][:live]
+                vector[at] = edge
+                vector += [0.0] * (3 - live)
+                bivector = [-0.3, 0.6, 2.0][:live] + [0.0] * (3 - live)
+                forms.append(_fixed((edge, *vector, *bivector, -0.5),
+                                    (0.5, *vector[::-1], *bivector, edge)))
+    return forms
+
+
+@pytest.mark.parametrize("form", _live_slots_forms())
+@pytest.mark.parametrize("kind", _KINDS)
+def test_fused_grade_norms_on_edge_coefficients(form, kind):
+    swept = sweep(form, E1V, E2V, kind, p_grid(0.25))
+    values = swept.values
+    for k in GRADES:
+        assert [n.hex() for n in swept.grade_norms[k]] == [v.grade_norm(k).hex() for v in values]
+        # The peak is the root of the largest sum of squares, or NaN.
+        squares = []
+        for v in values:
+            total = 0.0
+            for i in GRADE_SLOTS[k]:
+                total += v.coeffs[i] * v.coeffs[i]
+            squares.append(total)
+        peak = math.nan if any(map(math.isnan, squares)) else math.sqrt(max(squares))
+        assert swept.support.max_magnitude[k].hex() == peak.hex()
+        # A NaN peak fails the comparison, so its grade is absent.
+        assert (k in swept.support.present) == (peak > TOL)
 
 
 @pytest.mark.parametrize("form", [product_identity, product_raw])
