@@ -30,7 +30,7 @@ from .ga import (
     _max_magnitude,
 )
 from .model import ORIENTATIONS, PRODUCT_FORMS, ProductForm
-from .measure import MeasureKind, Sweep, measure_total_columns, p_grid, p_grid_size, sweeps
+from .measure import DEFAULT_P_STEP, MeasureKind, Sweep, measure_total_columns, p_grid, p_grid_size, sweeps
 from .bell import (
     DEFAULT_ANGLES_DEG,
     ChshScenario,
@@ -84,7 +84,7 @@ def _is_real(x) -> bool:
 @dataclass(frozen=True)
 class AuditConfig:
     tolerance: float = DEFAULT_TOLERANCE
-    p_step: float = 0.05
+    p_step: float = DEFAULT_P_STEP
     angles_deg: tuple[float, float, float, float] = DEFAULT_ANGLES_DEG
     trials: int = 10000
     seed: int = 42

@@ -49,6 +49,15 @@ def _max_magnitude(magnitudes) -> float:
     return math.nan if math.isnan(sum(magnitudes)) else max(magnitudes)
 
 
+def _grade_norms(coeffs) -> tuple[float, float, float, float]:
+    """Each grade's Euclidean magnitude: squares as products, not libm's pow,
+    added left to right (the builtin sum compensates from Python 3.12), so a
+    norm has the same bits on every interpreter and C library."""
+    s, x1, x2, x3, b1, b2, b3, t = coeffs
+    return (math.sqrt(s * s), math.sqrt(x1 * x1 + x2 * x2 + x3 * x3),
+            math.sqrt(b1 * b1 + b2 * b2 + b3 * b3), math.sqrt(t * t))
+
+
 @dataclass(frozen=True, slots=True, init=False)
 class Vector3:
     """A vector of 3-D Euclidean space, components along e1, e2, e3."""
@@ -123,14 +132,7 @@ class Multivector:
         """Euclidean magnitude of the grade-k component."""
         if k not in GRADE_SLOTS:
             raise ValueError(f"grade index must be 0..3, got {k!r}")
-        # Squared as products, not through libm's pow, and added left to right,
-        # as the builtin sum did before Python 3.12 compensated it, so a norm
-        # has the same bits on every interpreter and C library.
-        squares = 0.0
-        for i in GRADE_SLOTS[k]:
-            c = self.coeffs[i]
-            squares += c * c
-        return math.sqrt(squares)
+        return _grade_norms(self.coeffs)[k]
 
     def max_abs_coeff(self) -> float:
         """Largest coefficient magnitude; NaN if any coefficient is NaN."""
@@ -244,10 +246,7 @@ def grade_audit(x: Multivector, tol: float = DEFAULT_TOLERANCE) -> GradeSupport:
     """Grade support of a single multivector at the given tolerance."""
     if tol <= 0.0:
         raise ValueError("audit tolerance must be positive")
-    # grade_norm's sums written out: 0.0 + c * c is c * c, bit for bit.
-    s, x1, x2, x3, b1, b2, b3, t = x.coeffs
-    mags = (math.sqrt(s * s), math.sqrt(x1 * x1 + x2 * x2 + x3 * x3),
-            math.sqrt(b1 * b1 + b2 * b2 + b3 * b3), math.sqrt(t * t))
+    mags = _grade_norms(x.coeffs)
     return GradeSupport(frozenset([k for k in GRADES if mags[k] > tol]), mags)
 
 

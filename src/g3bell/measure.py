@@ -51,17 +51,18 @@ _UNIT = {MeasureKind.SCALAR_WEIGHTS: ONE, MeasureKind.DIRECTED_TRIVECTOR: I}
 
 
 def measure_total(dist: OrientationDistribution, kind: MeasureKind) -> Multivector:
-    """Total weight of the measure: scalar 1, or the trivector I.  Each slot is
-    that of ``unit.scale(p) + unit.scale(1 - p)``, built without temporaries."""
-    p, q = dist.p_plus, dist.p_minus
-    return Multivector(tuple([p * u + q * u for u in _UNIT[kind].coeffs]))
+    """Total weight of the measure: scalar 1, or the trivector I.  It is
+    ``measure_total_columns`` read at its one point p_plus."""
+    return Multivector(next(zip(*measure_total_columns((dist.p_plus,), kind))))
 
 
 def measure_total_columns(grid: tuple[float, ...],
                           kind: MeasureKind) -> tuple[tuple[float, ...], ...]:
-    """``measure_total`` at each grid point, column-major: ``columns[i][j]`` is
-    slot ``i`` of the total at ``grid[j]``, from the same float operations."""
-    return tuple(tuple([p * u + (1.0 - p) * u for p in grid]) for u in _UNIT[kind].coeffs)
+    """The measure total at each grid point, column-major: ``columns[i][j]`` is
+    slot ``i`` of ``unit.scale(p) + unit.scale(1 - p)`` at ``p = grid[j]``."""
+    # A unit's coefficients are +0.0 and 1.0, and equal ones share a column.
+    columns = {u: tuple([p * u + (1.0 - p) * u for p in grid]) for u in set(_UNIT[kind].coeffs)}
+    return tuple([columns[u] for u in _UNIT[kind].coeffs])
 
 
 def is_valid_probability_measure(total: Multivector, tol: float) -> bool:
@@ -85,31 +86,30 @@ class ExpectationResult:
     valid_probability_measure: bool
 
 
-def _atom_weights(product_fn: ProductForm, a: Vector3, b: Vector3, kinds):
-    """Per kind, each coefficient slot's atom weights ``(t, u)``: that slot of
-    the + and - atoms' products times the kind's unit, at the 2**54 scale."""
-    # product*1, or product*I (a signed permutation), is exact at any scale.
-    plus, minus = [product_fn(a, b, hv).scale(_SCALE) for hv in ORIENTATIONS]
-    return [tuple(zip(gp(plus, _UNIT[kind]).coeffs, gp(minus, _UNIT[kind]).coeffs))
-            for kind in kinds]
-
-
 def _atom_sums(product_fn: ProductForm, a: Vector3, b: Vector3, kinds, points, zeros=None):
     """The expectation at each point ``(p, q)``, p and q weighing the + and -
     atoms, as one tuple of columns per kind: ``columns[i][j]`` is slot ``i`` at
     ``points[j]``; p may be a polynomial.  A column depends only on its slot's
-    weights ``(t, u)``: weights seen before share a column, and zero ones the
-    column ``zeros``, by default a new tuple of +0.0."""
+    weights ``(t, u)``, the atoms' products times the kind's unit at the 2**54
+    scale: weights seen before share a column, and zero ones the column
+    ``zeros``, by default a new tuple of +0.0.  An atom of weight 0 drops out."""
+    # product*1, or product*I (a signed permutation), is exact at any scale.
+    plus, minus = [product_fn(a, b, hv).scale(_SCALE) for hv in ORIENTATIONS]
     # +-0.0 keys are equal: the + 0.0 below erases the sign.
     seen = {(0.0, 0.0): (0.0,) * len(points) if zeros is None else zeros}
     swept = []
-    for weights in _atom_weights(product_fn, a, b, kinds):
+    for kind in kinds:
         columns = []
-        for t, u in weights:
+        for t, u in zip(gp(plus, _UNIT[kind]).coeffs, gp(minus, _UNIT[kind]).coeffs):
             column = seen.get((t, u))
             if column is None:
-                # (A + B) + 0.0 == (0.0 + A) + (0.0 + B) bitwise: never -0.0.
-                column = seen[t, u] = tuple([_UNSCALE * (t * p + u * q + 0.0) for p, q in points])
+                if t * 0.0 == u * 0.0 == 0.0:
+                    # (A + B) + 0.0 == (0.0 + A) + (0.0 + B) bitwise: never -0.0.
+                    column = tuple([_UNSCALE * (t * p + u * q + 0.0) for p, q in points])
+                else:  # NaN or infinite weights: a weightless atom adds +0.0, not t * 0.0
+                    column = tuple([_UNSCALE * ((t * p if p else 0.0) + (u * q if q else 0.0) + 0.0)
+                                    for p, q in points])
+                seen[t, u] = column
             columns.append(column)
         swept.append(tuple(columns))
     return swept
@@ -122,14 +122,12 @@ def expectation(product_fn: ProductForm, a: Vector3, b: Vector3,
 
     The weight multiplies on the right; I is central in G3, so the side
     does not matter for the directed kind.  The value is the atom sum at
-    ``(p, 1 - p)``.  Each per-atom term weighs its atom alone, so a NaN or
-    infinite coefficient of one atom leaves the other atom's term as it is.
+    ``(p, 1 - p)``, each atom's term the sum at ``(p, 0)`` or ``(0, q)``: a NaN
+    or infinite coefficient of one atom leaves the other atom's term as it is.
     """
     p, q = dist.p_plus, dist.p_minus
-    [weights] = _atom_weights(product_fn, a, b, (kind,))
-    value = Multivector(tuple([_UNSCALE * (t * p + u * q + 0.0) for t, u in weights]))
-    plus = Multivector(tuple([_UNSCALE * (t * p + 0.0) for t, _ in weights]))
-    minus = Multivector(tuple([_UNSCALE * (u * q + 0.0) for _, u in weights]))
+    [columns] = _atom_sums(product_fn, a, b, (kind,), ((p, q), (p, 0.0), (0.0, q)))
+    value, plus, minus = map(Multivector, zip(*columns))
     total = measure_total(dist, kind)
     return ExpectationResult(
         value=value,
@@ -160,7 +158,8 @@ def p_grid(step: float) -> tuple[float, ...]:
     return tuple(i * float(step) for i in range(p_grid_size(step) - 1)) + (1.0,)
 
 
-DEFAULT_P_GRID = p_grid(0.05)
+DEFAULT_P_STEP = 0.05
+DEFAULT_P_GRID = p_grid(DEFAULT_P_STEP)
 
 
 @dataclass(frozen=True)

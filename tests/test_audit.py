@@ -129,6 +129,7 @@ def test_version_kept_in_one_place():
 
 def test_cli_defaults_are_the_config_defaults():
     assert config_from_args(build_parser().parse_args([])) == AuditConfig()
+    assert AuditConfig().p_step is measure.DEFAULT_P_STEP
 
 
 @pytest.mark.parametrize("field, value", [
@@ -674,6 +675,44 @@ def test_no_claim_refuted_within_ulps_of_a_closed_form_magnitude(pair, magnitude
     report = run_audit(AuditConfig(tolerance=tol, p_step=0.25, trials=trials, extra_pairs=(pair,)))
     refuted = [c["id"] for c in report.document["claims"] if c["verdict"] == REFUTED]
     assert refuted == [], (tol, magnitude, n)
+
+
+def _tilted(pair, shape: str, eps: float):
+    """The pair as drawn, or with b replaced by a turned eps towards b (so
+    |a x b| is at most about eps), or by the unit normal of a and b turned eps
+    towards a (so |a.b| is about eps)."""
+    a, b = pair
+    if shape == "near_parallel":
+        base, towards = a, b
+    elif shape == "near_orthogonal":
+        normal = cross(a, b)
+        assume(normal.norm() > 0.1)
+        base, towards = normal.normalized(), a
+    else:
+        return pair
+    return a, Vector3(*(x + eps * y for x, y in zip(base.components(), towards.components()))
+                      ).normalized()
+
+
+@settings(deadline=None)
+@given(st.tuples(_unit_vectors, _unit_vectors),
+       st.sampled_from(["as_drawn", "near_parallel", "near_orthogonal"]), st.floats(0.25, 4.0))
+@example((Vector3(1.0, 0.0, 0.0), Vector3(0.0, 1.0, 0.0)), "near_parallel", 1.5)
+@example((Vector3(1.0, 0.0, 0.0), Vector3(0.0, 1.0, 0.0)), "near_orthogonal", 3.0)
+def test_end_point_verdicts_equal_fine_grid_verdicts(pair, shape, scale):
+    # Every value is affine in p, so the end points decide each sweep claim:
+    # the interior of a 501-point grid must not change any of the ten verdicts.
+    tol = AuditConfig().tolerance
+    pair = _tilted(pair, shape, scale * tol)
+    a, b = pair
+    assume(not any(audit._undecided(m, t) for m in (abs(dot(a, b)), cross(a, b).norm())
+                   for t in (tol, 2.0 * tol)))
+    if _label_clash([pair]):
+        _assert_label_clash_raises(pair)
+        return
+    coarse, fine = ([c["verdict"] for c in run_audit(AuditConfig(
+        p_step=step, trials=10, extra_pairs=(pair,))).document["claims"]] for step in (1.0, 0.002))
+    assert coarse == fine
 
 
 # --- rendering -----------------------------------------------------------------------

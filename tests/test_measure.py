@@ -234,8 +234,10 @@ def test_measure_total_columns_are_the_totals_bitwise(kind):
     columns = measure_total_columns(grid, kind)
     assert len(columns) == 8
     for j, p in enumerate(grid):
-        total = measure_total(OrientationDistribution(p), kind)
+        total = _UNIT[kind].scale(p) + _UNIT[kind].scale(1.0 - p)
         assert [c[j].hex() for c in columns] == [x.hex() for x in total.coeffs]
+        one_point = measure_total(OrientationDistribution(p), kind)
+        assert [x.hex() for x in one_point.coeffs] == [x.hex() for x in total.coeffs]
 
 
 def test_sweep_builds_no_per_point_multivector(monkeypatch):
@@ -454,6 +456,38 @@ def test_a_non_finite_atom_leaves_the_other_atoms_term(bad, kind):
     bivector_grade = 2 if kind is SCALAR else 1
     assert result.term_support.present == {0 if kind is SCALAR else 3, bivector_grade}
     assert result.term_support.max_magnitude[bivector_grade].hex() == abs(bad).hex()
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("p", [1.0, 0.0])
+def test_a_non_finite_weightless_atom_drops_out(p, bad, kind):
+    # e12 is non-finite only at the orientation that p weighs 0, so the
+    # reference's gp, which skips a zero weight, never sees it.
+    finite = (0.5, 0.0, 0.0, 0.0, 0.3, 0.0, 0.0, 0.0)
+    other = (0.5, 0.0, 0.0, 0.0, bad, 0.0, 0.0, 0.0)
+    form = _fixed(finite, other) if p == 1.0 else _fixed(other, finite)
+    dist = OrientationDistribution(p)
+    reference = reference_expectation(form, E1V, E2V, dist, kind)
+    result = expectation(form, E1V, E2V, dist, kind)
+    assert _hex_result(result) == _hex_result(reference)
+    assert result.support.present == ({0, 2} if kind is SCALAR else {1, 3})
+    grid = p_grid(1.0)
+    swept = sweeps(form, E1V, E2V, _KINDS, grid)[kind]
+    assert [column[grid.index(p)].hex() for column in swept.columns] == \
+        [c.hex() for c in reference.value.coeffs]
+
+
+@hypothesis.settings(deadline=None)
+@given(forms, settings, settings, st.sampled_from([1.0, 0.05, 0.002]))
+def test_grid_peaks_are_the_end_point_norms_within_rounding(form, a, b, step):
+    # Each value p*P+ + (1-p)*P- is affine in p, so in real arithmetic each
+    # grade norm is convex in p and peaks at p = 0 or 1: the interior of the
+    # grid adds rounding only.
+    for s in sweeps(form, a, b, _KINDS, p_grid(step)).values():
+        for k in GRADES:
+            ends = max(s.grade_norms[k][0], s.grade_norms[k][-1])
+            assert ends <= s.support.max_magnitude[k] <= ends + 4.0 * math.ulp(1.0)
 
 
 # Coefficients whose squares are NaN, overflow, or underflow.
