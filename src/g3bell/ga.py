@@ -112,13 +112,13 @@ class Multivector:
         return cls(tuple(c))
 
     def __add__(self, other: Multivector) -> Multivector:
-        return Multivector(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return Multivector(tuple([a + b for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __sub__(self, other: Multivector) -> Multivector:
-        return Multivector(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return Multivector(tuple([a - b for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __neg__(self) -> Multivector:
-        return Multivector(tuple(-a for a in self.coeffs))
+        return Multivector(tuple([-a for a in self.coeffs]))
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
@@ -126,7 +126,7 @@ class Multivector:
         return NotImplemented
 
     def scale(self, factor: float) -> Multivector:
-        return Multivector(tuple(factor * a for a in self.coeffs))
+        return Multivector(tuple([factor * a for a in self.coeffs]))
 
     def grade_norm(self, k: int) -> float:
         """Euclidean magnitude of the grade-k component."""

@@ -41,9 +41,11 @@ class HiddenVariable:
 
     @property
     def mu(self) -> Multivector:
-        return I.scale(float(self.orientation))
+        return _MU[self.orientation]
 
 
+# mu = lambda*I, built once per orientation: a Multivector is immutable.
+_MU = {lam: I.scale(float(lam)) for lam in (+1, -1)}
 ORIENTATIONS = (HiddenVariable(+1), HiddenVariable(-1))
 
 

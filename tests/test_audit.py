@@ -694,7 +694,7 @@ def _tilted(pair, shape: str, eps: float):
                       ).normalized()
 
 
-@settings(deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(st.tuples(_unit_vectors, _unit_vectors),
        st.sampled_from(["as_drawn", "near_parallel", "near_orthogonal"]), st.floats(0.25, 4.0))
 @example((Vector3(1.0, 0.0, 0.0), Vector3(0.0, 1.0, 0.0)), "near_parallel", 1.5)
