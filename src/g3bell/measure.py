@@ -61,8 +61,7 @@ def measure_total_columns(grid: tuple[float, ...],
     """The measure total at each grid point, column-major: ``columns[i][j]`` is
     slot ``i`` of ``unit.scale(p) + unit.scale(1 - p)`` at ``p = grid[j]``."""
     # Built a point at a time and transposed: cheapest at measure_total's one point.
-    unit = _UNIT[kind].coeffs
-    return tuple(zip(*[[p * u + (1.0 - p) * u for u in unit] for p in grid]))
+    return tuple(zip(*[[p * u + (1.0 - p) * u for u in _UNIT[kind].coeffs] for p in grid]))
 
 
 def is_valid_probability_measure(total: Multivector, tol: float) -> bool:

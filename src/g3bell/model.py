@@ -44,8 +44,7 @@ class HiddenVariable:
         return _MU[self.orientation]
 
 
-# mu = lambda*I, built once per orientation: a Multivector is immutable.
-_MU = {lam: I.scale(float(lam)) for lam in (+1, -1)}
+_MU = {lam: I.scale(float(lam)) for lam in (+1, -1)}  # built once: a Multivector is immutable
 ORIENTATIONS = (HiddenVariable(+1), HiddenVariable(-1))
 
 
