@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain, compress
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable
 
@@ -326,12 +326,14 @@ def _grade_support(pr: _AuditedPair, tol: float) -> dict:
     # The forms disagree away from orientation +1; quantify what that does
     # to the scalar-weight expectation across the grid.
     identity, raw = (forms[form][MeasureKind.SCALAR_WEIGHTS] for form in ("identity", "raw"))
-    grade0_diff = max(abs(c_id - c_raw)
-                      for c_id, c_raw in zip(identity.columns[0], raw.columns[0]))
-    raw_g2 = raw.grade_norms[2]
+    grade0_diff = _max_magnitude([abs(c_id - c_raw)
+                                  for c_id, c_raw in zip(identity.columns[0], raw.columns[0])])
+    # The sweep's grade-2 peak is NaN where a norm is; so is the low end then.
+    peak = raw.support.max_magnitude[2]
     entry["raw_vs_identity"] = {
         "grade0_max_diff_over_grid": grade0_diff,
-        "raw_scalar_weight_grade2_range": [min(raw_g2), max(raw_g2)],
+        "raw_scalar_weight_grade2_range": [peak if math.isnan(peak) else min(raw.grade_norms[2]),
+                                           peak],
     }
     return entry
 
@@ -362,15 +364,23 @@ def _normalization_section(grid, tol: float) -> dict:
 
 def _within(columns, target, tol: float) -> bool:
     """True iff every point of the columns is within ``tol`` of ``target`` in
-    every slot: ``max_abs_diff(target) <= tol`` at each point, NaN failing."""
-    return all(abs(x - t) <= tol for column, t in zip(columns, target) for x in column)
+    every slot: ``max_abs_diff(target) <= tol`` at each point, NaN failing.
+    Each non-empty column is decided from its extremes: rounding is monotone,
+    so ``x - t`` is largest at the column's maximum and ``t - x`` at its
+    minimum, and the column's sum is NaN only when it holds a NaN or both
+    infinities, which fail at some point.  That needs a finite ``tol >= 0``
+    (an infinite one passes ``[inf, -inf]`` point by point); the audit passes
+    its validated tolerance or 0.0."""
+    return all(not math.isnan(sum(column)) and max(column) - t <= tol and t - min(column) <= tol
+               for column, t in zip(columns, target))
 
 
 def _functional_range(pr: _AuditedPair) -> dict:
     entry: dict = {}
     for form in _FORMS:
-        swept = pr.sweeps[form][MeasureKind.DIRECTED_TRIVECTOR]
-        max_scalar = _max_magnitude(list(map(abs, swept.columns[0])))
+        # For real pairs this is the sweep's shared zeros column: no product has an e123 part.
+        scalar = pr.sweeps[form][MeasureKind.DIRECTED_TRIVECTOR].columns[0]
+        max_scalar = _max_magnitude(list(map(abs, scalar))) if any(scalar) else 0.0
         entry[form] = {
             "max_abs_scalar_component": max_scalar,
             "nonzero_scalar_attained": max_scalar > 0.0,
@@ -682,21 +692,23 @@ def _json_sweep(swept: Sweep, pad: str, put: Callable[[str], None], grids: dict)
     ``{"p": grid[j], "value": {"scalar": columns[0][j], ...}}``.  Each column
     goes through ``_json_column``, the grid once per document (``grids`` maps
     its id to the grid, held so that no other object takes the id, and its
-    cells); a column with no nonzero entry is ``0.0`` throughout, as
-    ``_json_float`` writes either zero (a NaN is truthy).  A non-finite value
-    raises from the first one in row order, as the walk over the rows would.
-    Every row goes through one ``%`` template."""
+    cells).  A column with no nonzero entry is ``0.0`` throughout, as
+    ``_json_float`` writes either zero (a NaN is truthy), so it is a literal
+    of the row template and not one of its cells.  A non-finite value raises
+    from the first one in row order, as the walk over the rows would.  Every
+    row goes through one ``%`` of that template."""
     row, inner, slot = pad + "  ", pad + "    ", pad + "      "
+    live = [any(column) for column in swept.columns]
     template = ("{" + inner + '"p": %s,' + inner + '"value": {'
-                + ",".join(slot + _quote(key) + ": %s" for key in _MV_KEYS)
+                + ",".join(slot + _quote(key) + (": %s" if on else ": 0.0")
+                           for key, on in zip(_MV_KEYS, live))
                 + inner + "}" + row + "}")
     grid = swept.grid
     try:
         held = grids.get(id(grid))
         if held is None:
             held = grids[id(grid)] = (grid, _json_column(grid))
-        cells = zip(held[1], *(_json_column(column) if any(column) else repeat("0.0")
-                               for column in swept.columns))
+        cells = zip(held[1], *map(_json_column, compress(swept.columns, live)))
     except ValueError:
         for x in chain.from_iterable(zip(grid, *swept.columns)):
             _json_float(x)

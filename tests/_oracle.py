@@ -19,6 +19,10 @@ the two orientation atoms that adds each weighted term to ``ZERO`` through
 ``gp``.  ``expectation`` and every ``sweep`` value must match it bit for bit,
 sign of zero included.
 
+``reference_within`` is the normalization section's tolerance test as first
+written, one comparison per point; ``_within`` decides each column from its
+extremes and must agree with it.
+
 ``reference_emit_json`` is the JSON emission as first written: a copy of the
 tree with every float rounded to 15 significant digits and every ``Sweep``
 expanded into its rows (``reference_sweep_rows``), then the stdlib encoder
@@ -157,6 +161,12 @@ def reference_expectation(product_fn, a, b, dist, kind, tol=1e-12) -> Expectatio
         measure_total=total,
         valid_probability_measure=is_valid_probability_measure(total, tol),
     )
+
+
+def reference_within(columns, target, tol: float) -> bool:
+    """True iff ``abs(x - t) <= tol`` at every point ``x`` of every column,
+    ``t`` its slot's target: a NaN fails."""
+    return all(abs(x - t) <= tol for column, t in zip(columns, target) for x in column)
 
 
 def _reference_round15(x: float) -> float:

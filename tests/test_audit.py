@@ -41,7 +41,7 @@ from g3bell.measure import (MeasureKind, Sweep, is_valid_probability_measure, me
 from g3bell.cli import (_VALUE_FLAGS, angles_argument, build_parser, config_from_args, main,
                         main_entry, pair_argument)
 
-from _oracle import reference_emit_json, reference_sweep_rows
+from _oracle import reference_emit_json, reference_sweep_rows, reference_within
 
 FAST = dict(trials=60, seed=42)
 
@@ -406,6 +406,41 @@ def test_normalization_section_matches_per_point_totals(grid, tol):
     assert repr(section) == repr(_normalization_by_totals(grid, tol))
 
 
+@st.composite
+def _within_cases(draw):
+    """Non-empty columns, their targets and a finite tolerance >= 0: each point
+    is any float, NaN and the infinities included, or one near its target."""
+    tol = draw(st.one_of(st.sampled_from([0.0, 5e-324, 1e-12, 0.5]),
+                         st.floats(min_value=0.0, allow_infinity=False)))
+    columns, target = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        t = draw(st.floats())
+        near = st.sampled_from([t, -t, t + tol, t - tol,
+                                math.nextafter(t + tol, math.inf), math.nextafter(t - tol, -math.inf)])
+        columns.append(tuple(draw(st.lists(st.one_of(near, st.floats()), min_size=1, max_size=6))))
+        target.append(t)
+    return columns, tuple(target), tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(_within_cases())
+@example(([(1.0, math.nan, 1.0)], (1.0,), 0.5))  # a NaN after the first point
+@example(([(0.5, -0.5), (0.0, 1.0, math.nan)], (0.5, 0.0), 1e308))
+@example(([(math.inf, -math.inf)], (0.0,), 1e308))  # both infinities: a NaN sum
+@example(([(math.inf, math.inf)], (math.inf,), 0.0))
+@example(([(1e308,) * 3], (1e308,), 0.0))  # the sum overflows, every point passes
+@example(([(1e308, 1e308, -1e308)], (1e308,), 1e308))
+@example(([(0.0, -0.0, 0.0), (-0.0, -0.0)], (-0.0, 0.0), 0.0))
+@example(([(0.75, 1.25, 1.0)], (1.0,), 0.25))  # x = t + tol and t - tol exactly
+@example(([(1.0, math.nextafter(1.25, 2.0))], (1.0,), 0.25))
+@example(([(5e-324, -5e-324, 0.0)], (0.0,), 5e-324))  # subnormals
+@example(([(5e-324, -5e-324, 0.0)], (0.0,), 0.0))
+@example(([(2.2250738585072014e-308, 1e-310)], (1.5e-308,), 1e-308))
+def test_within_is_its_per_point_definition(case):
+    columns, target, tol = case
+    assert audit._within(columns, target, tol) is reference_within(columns, target, tol)
+
+
 def test_negated_identity_product_refutes_the_split(monkeypatch, capsys):
     # Flipping the whole product flips -a.b, which the split claim compares;
     # a sign flip of the bivector part alone keeps every magnitude.
@@ -445,6 +480,61 @@ def test_planted_nan_refutes_the_claims_that_read_it(monkeypatch, key, slot, ref
     monkeypatch.setitem(PRODUCT_FORMS, "identity", planted)
     claims = run_audit(AuditConfig(p_step=0.25, **FAST)).document["claims"]
     assert {c["id"] for c in claims if c["verdict"] == REFUTED} == refuted
+
+
+@pytest.mark.parametrize("forms, slot, value, field", [
+    # inf - inf is NaN at every p that weighs orientation +1, that is all but p = 0.
+    (("identity", "raw"), 0, math.inf, "grade0_max_diff_over_grid"),
+    (("raw",), 4, math.nan, "raw_scalar_weight_grade2_range"),
+])
+def test_raw_vs_identity_keeps_a_nan_after_the_first_point(monkeypatch, forms, slot, value, field):
+    for form in forms:
+        product = PRODUCT_FORMS[form]
+
+        def planted(a, b, hv, product=product):
+            coeffs = list(product(a, b, hv).coeffs)
+            if hv.orientation == +1:
+                coeffs[slot] = value
+            return Multivector(tuple(coeffs))
+
+        monkeypatch.setitem(PRODUCT_FORMS, form, planted)
+    identity, raw = (sweep(PRODUCT_FORMS[form], *DEFAULT_PAIRS[0], MeasureKind.SCALAR_WEIGHTS,
+                           p_grid(0.25)) for form in ("identity", "raw"))
+    # The values the field reduces: finite at p = 0 only.
+    reduced = ([abs(x - y) for x, y in zip(identity.columns[0], raw.columns[0])]
+               if field == "grade0_max_diff_over_grid" else raw.grade_norms[2])
+    assert not math.isnan(reduced[0]) and all(map(math.isnan, reduced[1:]))
+    doc = run_audit(AuditConfig(p_step=0.25, **FAST)).document
+    got = doc["grade_support"][ORTHO_KEY]["raw_vs_identity"][field]
+    assert all(map(math.isnan, got if isinstance(got, list) else [got]))
+
+
+def _functional_range_of(scalar_column):
+    """The functional-range entry of a pair whose directed sweeps, both forms,
+    have ``scalar_column`` as their scalar column."""
+    grid = p_grid(0.25)
+    swept = dataclasses.replace(
+        sweep(product_identity, *DEFAULT_PAIRS[2], MeasureKind.DIRECTED_TRIVECTOR, grid),
+        columns=(scalar_column, *[(0.0,) * len(grid)] * 7))
+    pr = dataclasses.replace(audit._audit_pair(GENERIC_KEY, *DEFAULT_PAIRS[2], grid, 1e-12),
+                             sweeps={form: {MeasureKind.DIRECTED_TRIVECTOR: swept}
+                                     for form in ("identity", "raw")})
+    return audit._functional_range(pr)
+
+
+@pytest.mark.parametrize("column", [
+    (-0.0,) * 5,
+    (0.0, -0.0, math.nan, 0.0, -0.0),
+    (0.0, 0.0, 0.0, -5e-324, 0.0),
+    (0.0,) * 5,
+])
+def test_functional_range_shortcut_is_the_max_magnitude(column):
+    entry = _functional_range_of(column)
+    expected = audit._max_magnitude(list(map(abs, column)))
+    for form in ("identity", "raw"):
+        got = entry[form]["max_abs_scalar_component"]
+        assert float.hex(got) == float.hex(expected)
+        assert entry[form]["nonzero_scalar_attained"] is (expected > 0.0)
 
 
 def _identity_ignoring_orientation(a, b, hv):
@@ -993,6 +1083,17 @@ _PLANTED_COLUMNS = {
     "list_column": ({"e13": [0.1, -0.2, 0.0, 1.0, 1e-7]}, None),
     # Zero everywhere, grid included: still one row per grid point.
     "all_zero": ({key: (0.0,) * 5 for key in ("p", *audit._MV_KEYS)}, None),
+    # Columns with no nonzero entry are literals of the row template.
+    "all_zero_values": ({key: (0.0,) * 5 for key in audit._MV_KEYS}, None),
+    "negative_zeros": ({"e1": (-0.0,) * 5, "e123": (-0.0,) * 5}, None),
+    "mixed_zeros": ({"e2": (0.0, -0.0, -0.0, 0.0, -0.0), "e3": (-0.0, 0.0, 0.0, -0.0, 0.0)}, None),
+    # A NaN is nonzero: a column zero but for one, in the last row, is not a literal.
+    "zero_but_late_nan": ({"e13": (0.0, -0.0, 0.0, 0.0, math.nan)},
+                          "Out of range float values are not JSON compliant: nan"),
+    # An early NaN in a live column beside zero columns, before a later column's inf.
+    "early_nan_beside_zeros": ({"e1": (0.5, math.nan, 0.5, 0.5, 0.5), "e2": (-0.0,) * 5,
+                                "e3": (0.0,) * 5, "e123": (0.5, 0.5, math.inf, 0.5, 0.5)},
+                               "Out of range float values are not JSON compliant: nan"),
     # Repeated values, each distinct one formatted once: both zeros, an integral
     # value and exponent forms below 1e-4 among them.
     "repeated": ({"e1": (1e-5, 0.0, -0.0, 1e-5, 2.0), "e2": (0.25, -0.0, 0.25, 0.0, 0.25),
@@ -1035,6 +1136,21 @@ def test_json_document_writes_every_planted_cell_as_json_float(name):
         assert [row["value"]["e3"] for row in json.loads(got)[1]["probe"]][2:5:2] == [_TOP, -_TOP]
     else:
         assert got == reference_emit_json(tree)
+
+
+def test_json_sweep_formats_only_the_grid_and_the_live_columns(monkeypatch):
+    formatted = []
+    json_column = audit._json_column
+    monkeypatch.setattr(audit, "_json_column",
+                        lambda column: formatted.append(column) or json_column(column))
+    swept = sweep(product_identity, *_EXAMPLE_PAIR, MeasureKind.DIRECTED_TRIVECTOR, p_grid(0.25))
+    live = [column for column in swept.columns if any(column)]
+    # The scalar and the three bivectors of a directed identity probe are zero.
+    assert len(live) == 4
+    assert _json_document({"probe": swept}) == reference_emit_json({"probe": swept})
+    # A column that repeats values is formatted again as its distinct values.
+    assert [column for column in formatted if len(column) == len(swept.grid)] == [swept.grid, *live]
+    assert all(map(any, formatted))
 
 
 def test_json_column_writes_integral_cells_without_json_float(monkeypatch):
