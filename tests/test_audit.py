@@ -1138,21 +1138,6 @@ def test_json_document_writes_every_planted_cell_as_json_float(name):
         assert got == reference_emit_json(tree)
 
 
-def test_json_sweep_formats_only_the_grid_and_the_live_columns(monkeypatch):
-    formatted = []
-    json_column = audit._json_column
-    monkeypatch.setattr(audit, "_json_column",
-                        lambda column: formatted.append(column) or json_column(column))
-    swept = sweep(product_identity, *_EXAMPLE_PAIR, MeasureKind.DIRECTED_TRIVECTOR, p_grid(0.25))
-    live = [column for column in swept.columns if any(column)]
-    # The scalar and the three bivectors of a directed identity probe are zero.
-    assert len(live) == 4
-    assert _json_document({"probe": swept}) == reference_emit_json({"probe": swept})
-    # A column that repeats values is formatted again as its distinct values.
-    assert [column for column in formatted if len(column) == len(swept.grid)] == [swept.grid, *live]
-    assert all(map(any, formatted))
-
-
 def test_json_column_writes_integral_cells_without_json_float(monkeypatch):
     calls = []
     json_float = audit._json_float
@@ -1202,6 +1187,8 @@ def test_json_document_formats_each_grid_once_and_only_as_itself(monkeypatch):
                   for entry in report.document["functional_range"].values()]
         assert len(probes) == 3 and all(probe.grid is probes[0].grid for probe in probes)
         assert [column is probes[0].grid for column in formatted].count(True) == 1
+        # A column with no nonzero entry, four per probe, is a literal of the row template.
+        assert all(map(any, formatted))
     # Equal but distinct grids, and a different grid of the same length.
     grid = p_grid(0.25)
     twin, reversed_grid = tuple(list(grid)), grid[::-1]
