@@ -51,7 +51,6 @@ from .measure import (
     measure_total,
     p_grid,
     p_grid_size,
-    sweep,
     sweeps,
 )
 from .bell import (
@@ -63,7 +62,6 @@ from .bell import (
     lhv_bruteforce_bound,
     make_scalarizer,
     quantum_target,
-    scalar_correlation,
     scalarizer_audit,
     scalarizer_maxima,
 )

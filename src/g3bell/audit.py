@@ -9,6 +9,7 @@ header, so every verdict line is traceable to the check that produced it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, compress
@@ -78,7 +79,8 @@ def _is_int(x) -> bool:
 
 
 def _is_real(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    # Not math.isfinite(x), which raises OverflowError past the largest float.
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -106,6 +108,10 @@ class AuditConfig:
             raise ValueError(f"trials must be an integer in [1, {MAX_TRIALS}], got {self.trials!r}")
         if not _is_int(self.seed):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        try:
+            str(self.seed)
+        except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+            raise ValueError("seed has too many digits for the report to print") from None
         if self.output_format not in OUTPUT_FORMATS:
             raise ValueError(f"output format must be one of {OUTPUT_FORMATS}, got {self.output_format!r}")
         if not isinstance(self.extra_pairs, (tuple, list)):
@@ -117,9 +123,13 @@ class AuditConfig:
             for v in pair:
                 ensure_unit(v)
         audited_pairs(self)  # two different pairs with one label raise
-        # A list is stored as its tuple, so the config is hashable and equals its tuple twin.
-        object.__setattr__(self, "angles_deg", tuple(self.angles_deg))
-        object.__setattr__(self, "extra_pairs", tuple(self.extra_pairs))
+        # Lists are stored as tuples and reals as floats: equal configs hash and emit alike.
+        object.__setattr__(self, "tolerance", float(self.tolerance))
+        object.__setattr__(self, "p_step", float(self.p_step))
+        object.__setattr__(self, "angles_deg", tuple(map(float, self.angles_deg)))
+        object.__setattr__(self, "extra_pairs", tuple([
+            (Vector3(float(a.x), float(a.y), float(a.z)), Vector3(float(b.x), float(b.y), float(b.z)))
+            for a, b in self.extra_pairs]))
 
 
 @dataclass(frozen=True)
@@ -687,7 +697,7 @@ def _json_column(column) -> list[str]:
 
 
 def _json_sweep(swept: Sweep, pad: str, put: Callable[[str], None], grids: dict) -> None:
-    """Put a sweep, whose grid ``sweep`` keeps non-empty, as the JSON list of
+    """Put a sweep, whose grid ``sweeps`` keeps non-empty, as the JSON list of
     its rows, one per grid point in grid order:
     ``{"p": grid[j], "value": {"scalar": columns[0][j], ...}}``.  Each column
     goes through ``_json_column``, the grid once per document (``grids`` maps

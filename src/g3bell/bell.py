@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from .ga import Vector3, _set_x, _set_y, _set_z, dot, ensure_unit
-from .model import ORIENTATIONS, HiddenVariable, OrientationDistribution, observable
+from .model import ORIENTATIONS, HiddenVariable, observable
 
 CorrelationFn = Callable[[Vector3, Vector3], float]
 ScalarizerFn = Callable[[Vector3, HiddenVariable], float]
@@ -121,14 +121,6 @@ def default_scalarizers() -> tuple[Scalarizer, ...]:
     setting's component along a reference axis.
     """
     return _DEFAULT_SCALARIZERS
-
-
-def scalar_correlation(s: Scalarizer, a: Vector3, b: Vector3,
-                       dist: OrientationDistribution) -> float:
-    """Correlation from scalarized observables: sum of p(l)*s(a,l)*s(b,l)."""
-    ensure_unit(a)
-    ensure_unit(b)
-    return sum(dist.weight(hv) * s.fn(a, hv) * s.fn(b, hv) for hv in ORIENTATIONS)
 
 
 def chsh(corr: CorrelationFn, sc: ChshScenario) -> float:
@@ -304,9 +296,9 @@ def scalarizer_maxima(scalarizers: Sequence[Scalarizer], trials: int,
     distribution weights, shared by every scalarizer.
 
     Each trial evaluates each scalarizer once per (setting, orientation) and
-    combines the 8 values in the association order of
-    ``chsh(lambda a, b: scalar_correlation(s, a, b, dist), scenario)``, so the
-    maxima are bit-identical to that definition.
+    combines the 8 values in the association order of the definitional loop
+    ``tests/_oracle.py::reference_scalarizer_maxima``, so the maxima are
+    bit-identical to that definition.
 
     From 2,000 trials on, with a second usable CPU and no second thread, a
     forked child folds the last ``trials // 2`` trials while this process

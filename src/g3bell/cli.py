@@ -110,15 +110,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> AuditConfig:
-    return AuditConfig(**vars(args))
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
     try:
-        config = config_from_args(args)
+        config = AuditConfig(**vars(args))
     except ValueError as exc:
         print(f"g3bell: error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -8,7 +8,7 @@ functional is reported from a sweep over a distribution family, never from
 a single evaluation, because the isotropic point hides the non-scalar
 grades inside an exact zero.  ``sweeps`` sweeps one product form under
 several kinds in one pass, sharing each column of equal weights and each
-grade's norms; ``sweep`` is its one-kind case.
+grade's norms.
 """
 
 from __future__ import annotations
@@ -169,9 +169,8 @@ class Sweep:
     support, and the isotropic expectation.
 
     The values are the atom sum's columns: ``columns[i][j]`` is coefficient
-    slot ``i`` of the value at ``grid[j]``, and ``values`` builds the per-point
-    ``Multivector``s from the columns on each read.  ``grade_norms[k][j]`` is
-    ``values[j].grade_norm(k)``, bit for bit, so a reader of per-point grade
+    slot ``i`` of the value at ``grid[j]``, and ``grade_norms[k][j]`` is that
+    value's ``grade_norm(k)``, bit for bit, so a reader of per-point grade
     magnitudes need not recompute them.
     """
 
@@ -180,11 +179,6 @@ class Sweep:
     grade_norms: tuple[tuple[float, ...], ...]
     support: GradeSupport
     isotropic: ExpectationResult
-
-    @property
-    def values(self) -> tuple[Multivector, ...]:
-        """The expectation value at each grid point."""
-        return tuple(map(Multivector, zip(*self.columns)))
 
 
 def sweeps(product_fn: ProductForm, a: Vector3, b: Vector3, kinds,
@@ -235,13 +229,6 @@ def sweeps(product_fn: ProductForm, a: Vector3, b: Vector3, kinds,
     return swept
 
 
-def sweep(product_fn: ProductForm, a: Vector3, b: Vector3, kind: MeasureKind,
-          grid: tuple[float, ...] = DEFAULT_P_GRID,
-          tol: float = DEFAULT_TOLERANCE) -> Sweep:
-    """``sweeps`` under the one measure kind."""
-    return sweeps(product_fn, a, b, (kind,), grid, tol)[kind]
-
-
 def codomain_support(product_fn: ProductForm, a: Vector3, b: Vector3,
                      kind: MeasureKind, grid: tuple[float, ...] = DEFAULT_P_GRID,
                      tol: float = DEFAULT_TOLERANCE) -> GradeSupport:
@@ -250,5 +237,5 @@ def codomain_support(product_fn: ProductForm, a: Vector3, b: Vector3,
     Union of the per-point audits over the grid, so a grade that only shows
     away from the isotropic point is still counted.
     """
-    return sweep(product_fn, a, b, kind, grid, tol).support
+    return sweeps(product_fn, a, b, (kind,), grid, tol)[kind].support
 

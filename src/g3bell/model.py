@@ -62,9 +62,6 @@ class OrientationDistribution:
     def p_minus(self) -> float:
         return 1.0 - self.p_plus
 
-    def weight(self, hv: HiddenVariable) -> float:
-        return self.p_plus if hv.orientation == +1 else self.p_minus
-
 
 ISOTROPIC = OrientationDistribution(0.5)
 

@@ -11,13 +11,14 @@ and all; ``p_grid`` must return the same tuple for every step.
 
 The CHSH Monte Carlo reference at the end is the straightforward loop that
 ``scalarizer_maxima`` streamlines: a fresh generator per scalarizer and the
-definitional ``chsh`` over ``scalar_correlation``.  It is built on those
-package definitions and serves as a bitwise oracle for the fast path.
+package's definitional ``chsh`` over ``scalar_correlation``, the correlation
+of scalarized observables defined here.  It serves as a bitwise oracle for
+the fast path.
 
 ``reference_expectation`` is the expectation as first written: a loop over
 the two orientation atoms that adds each weighted term to ``ZERO`` through
-``gp``.  ``expectation`` and every ``sweep`` value must match it bit for bit,
-sign of zero included.
+``gp``.  ``expectation`` and every ``sweeps`` value must match it bit for
+bit, sign of zero included.
 
 ``reference_within`` is the normalization section's tolerance test as first
 written, one comparison per point; ``_within`` decides each column from its
@@ -36,8 +37,8 @@ import json
 import math
 import random
 
-from g3bell.bell import ChshScenario, chsh, scalar_correlation
-from g3bell.ga import GradeSupport, Vector3, ZERO, grade_audit, gp
+from g3bell.bell import ChshScenario, Scalarizer, chsh
+from g3bell.ga import GradeSupport, Vector3, ZERO, ensure_unit, grade_audit, gp
 from g3bell.audit import _MV_KEYS
 from g3bell.measure import (_SCALE, _UNIT, _UNSCALE, ExpectationResult, Sweep,
                             is_valid_probability_measure, measure_total)
@@ -107,6 +108,15 @@ def reference_unit_vector(rng: random.Random):
             return v.normalized()
 
 
+def scalar_correlation(s: Scalarizer, a: Vector3, b: Vector3,
+                       dist: OrientationDistribution) -> float:
+    """Correlation from scalarized observables: sum of p(l)*s(a,l)*s(b,l)."""
+    ensure_unit(a)
+    ensure_unit(b)
+    weights = (dist.p_plus, dist.p_minus)
+    return sum(w * s.fn(a, hv) * s.fn(b, hv) for w, hv in zip(weights, ORIENTATIONS))
+
+
 def reference_scalarizer_maxima(scalarizers, trials: int, seed: int) -> tuple[float, ...]:
     """Max |S| per scalarizer, re-seeding and redrawing every scenario for
     each scalarizer and evaluating S through ``chsh``."""
@@ -148,8 +158,8 @@ def reference_expectation(product_fn, a, b, dist, kind, tol=1e-12) -> Expectatio
     times the weighted unit, and the terms are summed from ``ZERO``."""
     scaled = ZERO
     term_support = GradeSupport(frozenset(), (0.0, 0.0, 0.0, 0.0))
-    for hv in ORIENTATIONS:
-        term = gp(product_fn(a, b, hv).scale(_SCALE), _UNIT[kind].scale(dist.weight(hv)))
+    for w, hv in zip((dist.p_plus, dist.p_minus), ORIENTATIONS):
+        term = gp(product_fn(a, b, hv).scale(_SCALE), _UNIT[kind].scale(w))
         term_support = term_support.union(grade_audit(term.scale(_UNSCALE), tol))
         scaled = scaled + term
     value = scaled.scale(_UNSCALE)

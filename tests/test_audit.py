@@ -37,13 +37,14 @@ from g3bell.audit import (
     run_audit,
 )
 from g3bell.measure import (MeasureKind, Sweep, is_valid_probability_measure, measure_total,
-                            p_grid, p_grid_size, sweep)
-from g3bell.cli import (_VALUE_FLAGS, angles_argument, build_parser, config_from_args, main,
-                        main_entry, pair_argument)
+                            p_grid, p_grid_size, sweeps)
+from g3bell.cli import _VALUE_FLAGS, angles_argument, build_parser, main, main_entry, pair_argument
 
 from _oracle import reference_emit_json, reference_sweep_rows, reference_within
 
 FAST = dict(trials=60, seed=42)
+
+DIRECTED = MeasureKind.DIRECTED_TRIVECTOR
 
 ORTHO_KEY = pair_key(*DEFAULT_PAIRS[0])
 PARALLEL_KEY = pair_key(*DEFAULT_PAIRS[1])
@@ -83,6 +84,12 @@ def default_report():
     {"angles_deg": 5},
     {"extra_pairs": None},
     {"extra_pairs": 5},
+    # Ints past the largest float, and a seed too long to print.
+    {"tolerance": 10**400},
+    {"p_step": 10**400},
+    {"angles_deg": (10**400, 0.0, 0.0, 0.0)},
+    {"extra_pairs": ((Vector3(10**400, 0, 0), Vector3(0, 1, 0)),)},
+    {"seed": 10**5000},
 ])
 def test_config_rejects_invalid(kwargs):
     with pytest.raises(ValueError):
@@ -128,7 +135,7 @@ def test_version_kept_in_one_place():
 
 
 def test_cli_defaults_are_the_config_defaults():
-    assert config_from_args(build_parser().parse_args([])) == AuditConfig()
+    assert AuditConfig(**vars(build_parser().parse_args([]))) == AuditConfig()
     assert AuditConfig().p_step is measure.DEFAULT_P_STEP
 
 
@@ -141,6 +148,28 @@ def test_config_stores_a_list_as_its_tuple(field, value):
     from_tuple = AuditConfig(**{field: tuple(value)})
     assert from_list == from_tuple
     assert hash(from_list) == hash(from_tuple)
+
+
+@pytest.mark.parametrize("field, value, twin", [
+    ("tolerance", 1, 1.0),
+    ("p_step", 1, 1.0),
+    ("angles_deg", (0, 90, 45, 135), (0.0, 90.0, 45.0, 135.0)),
+    ("extra_pairs", ((Vector3(0, 0, 1), Vector3(1, 0, 0)),),
+     ((Vector3(0.0, 0.0, 1.0), Vector3(1.0, 0.0, 0.0)),)),
+])
+def test_equal_configs_emit_equal_bytes(field, value, twin):
+    base = dict(p_step=0.5, trials=2, output_format="json")
+    from_int, from_float = (AuditConfig(**{**base, field: v}) for v in (value, twin))
+    assert from_int == from_float and hash(from_int) == hash(from_float)
+    assert emit(run_audit(from_int)) == emit(run_audit(from_float))
+    assert repr(from_int) == repr(from_float)
+
+
+def test_config_admits_the_longest_printable_seed():
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 5000
+    seed = int("9" * digits)
+    document = emit(run_audit(AuditConfig(seed=seed, p_step=0.5, trials=1, output_format="json")))
+    assert f'"seed": {"9" * digits},' in document
 
 
 def test_value_flags_are_the_parsers_value_taking_options():
@@ -498,8 +527,9 @@ def test_raw_vs_identity_keeps_a_nan_after_the_first_point(monkeypatch, forms, s
             return Multivector(tuple(coeffs))
 
         monkeypatch.setitem(PRODUCT_FORMS, form, planted)
-    identity, raw = (sweep(PRODUCT_FORMS[form], *DEFAULT_PAIRS[0], MeasureKind.SCALAR_WEIGHTS,
-                           p_grid(0.25)) for form in ("identity", "raw"))
+    kind = MeasureKind.SCALAR_WEIGHTS
+    identity, raw = (sweeps(PRODUCT_FORMS[form], *DEFAULT_PAIRS[0], (kind,), p_grid(0.25))[kind]
+                     for form in ("identity", "raw"))
     # The values the field reduces: finite at p = 0 only.
     reduced = ([abs(x - y) for x, y in zip(identity.columns[0], raw.columns[0])]
                if field == "grade0_max_diff_over_grid" else raw.grade_norms[2])
@@ -514,7 +544,7 @@ def _functional_range_of(scalar_column):
     have ``scalar_column`` as their scalar column."""
     grid = p_grid(0.25)
     swept = dataclasses.replace(
-        sweep(product_identity, *DEFAULT_PAIRS[2], MeasureKind.DIRECTED_TRIVECTOR, grid),
+        sweeps(product_identity, *DEFAULT_PAIRS[2], (DIRECTED,), grid)[DIRECTED],
         columns=(scalar_column, *[(0.0,) * len(grid)] * 7))
     pr = dataclasses.replace(audit._audit_pair(GENERIC_KEY, *DEFAULT_PAIRS[2], grid, 1e-12),
                              sweeps={form: {MeasureKind.DIRECTED_TRIVECTOR: swept}
@@ -562,8 +592,8 @@ def _scalar_weight_sweeps_without_grade0(product_fn, a, b, kinds, grid, tol):
     # The scalar-weight expectation loses the -a.b part of every product.
     def lossy(a, b, hv):
         return grade_project(product_fn(a, b, hv), 2)
-    return {kind: sweep(lossy if kind is MeasureKind.SCALAR_WEIGHTS else product_fn,
-                        a, b, kind, grid, tol) for kind in kinds}
+    return {kind: sweeps(lossy if kind is MeasureKind.SCALAR_WEIGHTS else product_fn,
+                         a, b, (kind,), grid, tol)[kind] for kind in kinds}
 
 
 # One defect per row, planted in the model, the measure or the CHSH inputs, and
@@ -1045,7 +1075,7 @@ _EXAMPLE_PAIR = (Vector3(0.6, 0.0, 0.8), Vector3(0.0, 0.6, 0.8))
 @example(_EXAMPLE_PAIR, 1.0, MeasureKind.DIRECTED_TRIVECTOR, "nan_e1", "probe")
 @example(_EXAMPLE_PAIR, 0.002, MeasureKind.SCALAR_WEIGHTS, "inf_e123", "nested")
 def test_json_document_writes_a_sweep_as_its_rows(pair, p_step, kind, form, place):
-    swept = sweep(_SWEPT_FORMS[form], *pair, kind, p_grid(p_step))
+    swept = sweeps(_SWEPT_FORMS[form], *pair, (kind,), p_grid(p_step))[kind]
     # The same sweep with every zero coefficient -0.0, which is written 0.0.
     negated_zeros = dataclasses.replace(swept, columns=tuple(
         tuple(-0.0 if c == 0.0 else c for c in column) for column in swept.columns))
@@ -1117,8 +1147,8 @@ _PLANTED_COLUMNS = {
 def test_json_document_writes_every_planted_cell_as_json_float(name):
     planting, message = _PLANTED_COLUMNS[name]
     size, = {len(column) for column in planting.values()}
-    swept = sweep(product_identity, *_EXAMPLE_PAIR, MeasureKind.DIRECTED_TRIVECTOR,
-                  p_grid(1.0 / (size - 1)))
+    swept = sweeps(product_identity, *_EXAMPLE_PAIR, (DIRECTED,),
+                   p_grid(1.0 / (size - 1)))[DIRECTED]
     columns = [planting.get(key, column) for key, column in zip(audit._MV_KEYS, swept.columns)]
     planted = dataclasses.replace(swept, grid=planting.get("p", swept.grid), columns=tuple(columns))
     tree = [0.5, {"probe": planted}]
@@ -1159,8 +1189,7 @@ def test_json_column_formats_each_distinct_value_once(monkeypatch):
     assert audit._json_column(column) == [json_float(x) for x in column]
     assert calls == [1e-5, 2.5e-300]
     # The directed identity probe's e123 holds 3 distinct values in 501.
-    e123 = sweep(product_identity, *_EXAMPLE_PAIR, MeasureKind.DIRECTED_TRIVECTOR,
-                 p_grid(0.002)).columns[7]
+    e123 = sweeps(product_identity, *_EXAMPLE_PAIR, (DIRECTED,), p_grid(0.002))[DIRECTED].columns[7]
     assert len(set(e123)) == 3 and len(e123) == 501
     assert audit._json_column(e123) == [json_float(x) for x in e123]
     # A non-finite value raises, naming the first in row order, repeated or not.
@@ -1193,7 +1222,7 @@ def test_json_document_formats_each_grid_once_and_only_as_itself(monkeypatch):
     grid = p_grid(0.25)
     twin, reversed_grid = tuple(list(grid)), grid[::-1]
     assert twin == grid and twin is not grid
-    tree = {key: sweep(product_identity, *_EXAMPLE_PAIR, MeasureKind.DIRECTED_TRIVECTOR, g)
+    tree = {key: sweeps(product_identity, *_EXAMPLE_PAIR, (DIRECTED,), g)[DIRECTED]
             for key, g in (("grid", grid), ("twin", twin), ("reversed", reversed_grid))}
     assert _json_document(tree) == reference_emit_json(tree)
 
@@ -1237,8 +1266,8 @@ def test_each_probe_is_the_pairs_directed_identity_sweep(monkeypatch):
             probe = doc["functional_range"][key]["identity"]["probe"]
             assert type(probe) is Sweep
             assert probe.grid == grid
-            expected = sweep(product_identity, a, b, MeasureKind.DIRECTED_TRIVECTOR, grid,
-                             config.tolerance)
+            expected = sweeps(product_identity, a, b, (DIRECTED,), grid,
+                              config.tolerance)[DIRECTED]
             assert list(map(_float_bits, probe.columns)) == list(map(_float_bits, expected.columns))
     assert counts[0] == counts[1]
 

@@ -22,12 +22,11 @@ from g3bell.bell import (
     make_scalarizer,
     quantum_target,
     random_unit_vector,
-    scalar_correlation,
     scalarizer_audit,
     scalarizer_maxima,
 )
 
-from _oracle import reference_scalarizer_maxima, reference_unit_vector
+from _oracle import reference_scalarizer_maxima, reference_unit_vector, scalar_correlation
 
 TOL = 1e-12
 

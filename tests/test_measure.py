@@ -21,7 +21,6 @@ from g3bell.measure import (
     measure_total_columns,
     p_grid,
     p_grid_size,
-    sweep,
     sweeps,
 )
 from g3bell.model import (
@@ -194,38 +193,38 @@ def test_codomain_support_rejects_empty_grid():
 # --- functional range probe ---------------------------------------------------------
 
 def test_probe_isotropic_orthogonal_is_zero():
-    s = sweep(product_identity, E1V, E2V, DIRECTED, (0.5,))
-    assert list(zip(s.grid, s.values)) == [(0.5, ZERO)]
+    s = sweeps(product_identity, E1V, E2V, (DIRECTED,), (0.5,))[DIRECTED]
+    assert list(zip(s.grid, map(Multivector, zip(*s.columns)))) == [(0.5, ZERO)]
 
 
 def test_probe_single_atom_orthogonal():
-    s = sweep(product_identity, E1V, E2V, DIRECTED, (1.0,))
-    [(p, value)] = zip(s.grid, s.values)
+    s = sweeps(product_identity, E1V, E2V, (DIRECTED,), (1.0,))[DIRECTED]
+    [(p, value)] = zip(s.grid, map(Multivector, zip(*s.columns)))
     assert p == 1.0
     assert value == Multivector.blade(3, 1.0)
 
 
 def test_probe_isotropic_generic_is_pure_trivector():
-    s = sweep(product_identity, E1V, GENERIC, DIRECTED, (0.5,))
-    [(_, value)] = zip(s.grid, s.values)
+    s = sweeps(product_identity, E1V, GENERIC, (DIRECTED,), (0.5,))[DIRECTED]
+    [value] = map(Multivector, zip(*s.columns))
     assert value.max_abs_diff(Multivector.blade(7, -S2)) <= TOL
 
 
 def test_probe_rejects_empty_grid():
     with pytest.raises(ValueError):
-        sweep(product_identity, E1V, E2V, DIRECTED, ())
+        sweeps(product_identity, E1V, E2V, (DIRECTED,), ())
 
 
 @pytest.mark.parametrize("grid", [(), (0.5, 1.5), (-0.1,), (math.nan,)])
 def test_sweep_rejects_bad_grid(grid):
     with pytest.raises(ValueError):
-        sweep(product_identity, E1V, E2V, SCALAR, grid)
+        sweeps(product_identity, E1V, E2V, (SCALAR,), grid)
 
 
 @pytest.mark.parametrize("grid", [(0.0, math.nan, 1.0), (0.0, 0.5, 1.0000001)])
 def test_sweep_rejects_one_bad_point_among_good_ones(grid):
     with pytest.raises(ValueError):
-        sweep(product_identity, E1V, GENERIC, DIRECTED, grid)
+        sweeps(product_identity, E1V, GENERIC, (DIRECTED,), grid)
 
 
 @pytest.mark.parametrize("kind", [SCALAR, DIRECTED])
@@ -254,13 +253,13 @@ def test_sweep_builds_no_per_point_multivector(monkeypatch):
     counts = []
     for step in (0.1, 0.001):
         calls.clear()
-        sweep(product_identity, E1V, GENERIC, DIRECTED, p_grid(step))
+        sweeps(product_identity, E1V, GENERIC, (DIRECTED,), p_grid(step))
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
 
 
 def test_sweep_isotropic_record_off_grid():
-    swept = sweep(product_identity, E1V, E2V, SCALAR, (0.0, 1.0))
+    swept = sweeps(product_identity, E1V, E2V, (SCALAR,), (0.0, 1.0))[SCALAR]
     assert swept.grid == (0.0, 1.0)
     assert swept.isotropic == expectation(product_identity, E1V, E2V, ISOTROPIC, SCALAR)
     assert swept.isotropic.term_support.present == frozenset({2})
@@ -309,11 +308,12 @@ def grids():
 
 @given(forms, settings, settings, kinds, grids())
 def test_sweep_values_bitwise_equal_expectation(form, a, b, kind, grid):
-    swept = sweep(form, a, b, kind, grid)
+    swept = sweeps(form, a, b, (kind,), grid)[kind]
     assert swept.grid == grid
-    assert len(swept.values) == len(grid)
+    values = list(map(Multivector, zip(*swept.columns)))
+    assert len(values) == len(grid)
     union = GradeSupport(frozenset(), (0.0,) * 4)
-    for p, value in zip(grid, swept.values):
+    for p, value in zip(grid, values):
         reference = reference_expectation(form, a, b, OrientationDistribution(p), kind)
         assert _bits(value) == _bits(reference.value)
         union = union.union(reference.support)
@@ -331,19 +331,19 @@ edge_grids = st.sampled_from([(0.0,), (0.5,), (1.0,), p_grid(1.0)])
 @example(product_identity, Vector3(0.0, 0.0, 1.0), Vector3(0.0, 1.0, 5e-324), DIRECTED,
          (0.0, 0.5, 1.0))  # subnormal component
 def test_sweep_grade_norms_bitwise_equal_grade_norm(form, a, b, kind, grid):
-    swept = sweep(form, a, b, kind, grid)
+    swept = sweeps(form, a, b, (kind,), grid)[kind]
+    values = list(map(Multivector, zip(*swept.columns)))
     for k in GRADES:
-        per_point = [value.grade_norm(k).hex() for value in swept.values]
+        per_point = [value.grade_norm(k).hex() for value in values]
         assert [norm.hex() for norm in swept.grade_norms[k]] == per_point
         assert swept.support.max_magnitude[k].hex() == \
-            max(value.grade_norm(k) for value in swept.values).hex()
+            max(value.grade_norm(k) for value in values).hex()
     # A slot that is zero under both single-atom measures is +0.0 at every p.
     ends = [reference_expectation(form, a, b, OrientationDistribution(p), kind).value
             for p in (0.0, 1.0)]
     for slot in range(8):
         if all(end.coeffs[slot] == 0.0 for end in ends):
-            assert all(math.copysign(1.0, v.coeffs[slot]) == 1.0 and v.coeffs[slot] == 0.0
-                       for v in swept.values)
+            assert all(math.copysign(1.0, c) == 1.0 and c == 0.0 for c in swept.columns[slot])
 
 
 @pytest.mark.parametrize("tiny", [5e-324, 2.225e-308])
@@ -353,8 +353,8 @@ def test_isotropic_average_keeps_subnormal_dot(tiny, kind, slot):
     expected = Multivector.blade(slot, -tiny)
     result = expectation(product_identity, Vector3(0.0, 0.0, 1.0), b, ISOTROPIC, kind)
     assert _bits(result.value) == _bits(expected)
-    swept = sweep(product_identity, Vector3(0.0, 0.0, 1.0), b, kind, (0.0, 0.5, 1.0))
-    assert _bits(swept.values[1]) == _bits(expected)
+    swept = sweeps(product_identity, Vector3(0.0, 0.0, 1.0), b, (kind,), (0.0, 0.5, 1.0))[kind]
+    assert _bits(Multivector(tuple(column[1] for column in swept.columns))) == _bits(expected)
 
 
 # --- both kinds in one pass against the expectation as first written ------------------
@@ -513,8 +513,8 @@ def _live_slots_forms():
 @pytest.mark.parametrize("form", _live_slots_forms())
 @pytest.mark.parametrize("kind", _KINDS)
 def test_fused_grade_norms_on_edge_coefficients(form, kind):
-    swept = sweep(form, E1V, E2V, kind, p_grid(0.25))
-    values = swept.values
+    swept = sweeps(form, E1V, E2V, (kind,), p_grid(0.25))[kind]
+    values = list(map(Multivector, zip(*swept.columns)))
     for k in GRADES:
         assert [n.hex() for n in swept.grade_norms[k]] == [v.grade_norm(k).hex() for v in values]
         # The peak is the root of the largest sum of squares, or NaN.
@@ -616,7 +616,7 @@ def test_grade_norms_add_squares_left_to_right():
     mv = Multivector((0.0, *_SPLIT_SUM, *_SPLIT_SUM, 0.0))
     assert mv.grade_norm(1) == mv.grade_norm(2) == _SPLIT_SUM_NORM
     # At p = 1 the scalar-weight sweep's value is the + atom's product itself.
-    swept = sweep(lambda a, b, hv: mv, E1V, E2V, SCALAR, (1.0,))
+    swept = sweeps(lambda a, b, hv: mv, E1V, E2V, (SCALAR,), (1.0,))[SCALAR]
     assert swept.grade_norms[1] == swept.grade_norms[2] == (_SPLIT_SUM_NORM,)
 
 
@@ -630,5 +630,5 @@ def test_grade_norms_use_exactly_rounded_squares():
     norm = math.sqrt((squares[0] + squares[1]) + squares[2])
     mv = Multivector((0.0, *_POW_SENSITIVE, *_POW_SENSITIVE, 0.0))
     assert mv.grade_norm(1) == mv.grade_norm(2) == norm
-    swept = sweep(lambda a, b, hv: mv, E1V, E2V, SCALAR, (1.0,))
+    swept = sweeps(lambda a, b, hv: mv, E1V, E2V, (SCALAR,), (1.0,))[SCALAR]
     assert swept.grade_norms[1] == swept.grade_norms[2] == (norm,)

@@ -122,8 +122,6 @@ def test_hidden_variable_rejects_bad_orientation(bad):
 def test_distribution_weights():
     dist = OrientationDistribution(0.3)
     assert dist.p_minus == 0.7
-    assert dist.weight(PLUS) == 0.3
-    assert dist.weight(MINUS) == 0.7
 
 
 @pytest.mark.parametrize("bad", [-0.1, 1.1, 2.0])

@@ -106,7 +106,8 @@ def stream_digests(name: str, shape: dict, seed: int, count: int) -> dict:
     for audit_seed, pairs in audit_inputs(name, shape["extra_pairs"], seed, count):
         if shape["run"] == "_cli_audit":
             # cli.main's path, short of writing to stdout.
-            config = cli.config_from_args(cli.build_parser().parse_args(["--seed", str(audit_seed)]))
+            args = cli.build_parser().parse_args(["--seed", str(audit_seed)])
+            config = g3bell.AuditConfig(**vars(args))
         else:
             config = g3bell.AuditConfig(p_step=shape["p_step"], trials=shape["trials"],
                                         seed=audit_seed, output_format="json", extra_pairs=pairs)
