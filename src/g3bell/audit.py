@@ -9,7 +9,6 @@ header, so every verdict line is traceable to the check that produced it.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, compress
@@ -21,6 +20,7 @@ from .ga import (
     GradeSupport,
     I,
     Multivector,
+    NonUnitVectorError,
     ONE,
     Vector3,
     cross,
@@ -28,7 +28,7 @@ from .ga import (
     ensure_unit,
     grade_audit,
     grade_project,
-    _max_magnitude,
+    _is_int, _is_real, _max_magnitude, _shown,
 )
 from .model import ORIENTATIONS, PRODUCT_FORMS, ProductForm
 from .measure import DEFAULT_P_STEP, MeasureKind, Sweep, measure_total_columns, p_grid, p_grid_size, sweeps
@@ -74,14 +74,6 @@ _GRADES_FED = {
 _KINDS = tuple(_GRADES_FED)
 _FORMS = ("identity", "raw")
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_real(x) -> bool:
-    # Not math.isfinite(x), which raises OverflowError past the largest float.
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
-
 
 @dataclass(frozen=True)
 class AuditConfig:
@@ -95,41 +87,38 @@ class AuditConfig:
 
     def __post_init__(self):
         if not (_is_real(self.tolerance) and self.tolerance > 0.0):
-            raise ValueError(f"tolerance must be a positive real, got {self.tolerance!r}")
+            raise ValueError(f"tolerance must be a positive real, got {_shown(self.tolerance)}")
         if not _is_real(self.p_step):
-            raise ValueError(f"p-step must be a finite real, got {self.p_step!r}")
+            raise ValueError(f"p-step must be a finite real, got {_shown(self.p_step)}")
         if p_grid_size(self.p_step) > MAX_GRID_POINTS:
-            raise ValueError(f"p-step {self.p_step!r} gives more than "
-                             f"{MAX_GRID_POINTS} grid points")
+            raise ValueError(f"p-step {self.p_step!r} gives more than {MAX_GRID_POINTS} grid points")
         if not (isinstance(self.angles_deg, (tuple, list)) and len(self.angles_deg) == 4
                 and all(_is_real(x) for x in self.angles_deg)):
-            raise ValueError(f"angles must be four finite degrees, got {self.angles_deg!r}")
+            raise ValueError(f"angles must be four finite degrees, got {_shown(self.angles_deg)}")
         if not (_is_int(self.trials) and 1 <= self.trials <= MAX_TRIALS):
-            raise ValueError(f"trials must be an integer in [1, {MAX_TRIALS}], got {self.trials!r}")
-        if not _is_int(self.seed):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        try:
-            str(self.seed)
-        except ValueError:  # more digits than sys.get_int_max_str_digits() allows
-            raise ValueError("seed has too many digits for the report to print") from None
+            raise ValueError(f"trials must be an integer in [1, {MAX_TRIALS}], got {_shown(self.trials)}")
+        # The report prints the seed; an int too long to print is shown as <int of N bits>.
+        if not _is_int(self.seed) or _shown(self.seed).startswith("<"):
+            raise ValueError(f"seed must be an integer the report can print, got {_shown(self.seed)}")
         if self.output_format not in OUTPUT_FORMATS:
-            raise ValueError(f"output format must be one of {OUTPUT_FORMATS}, got {self.output_format!r}")
+            raise ValueError(f"output format must be one of {OUTPUT_FORMATS}, got {_shown(self.output_format)}")
         if not isinstance(self.extra_pairs, (tuple, list)):
-            raise ValueError(f"extra pairs must be a sequence of pairs, got {self.extra_pairs!r}")
+            raise ValueError(f"extra pairs must be a sequence of pairs, got {_shown(self.extra_pairs)}")
+        # Lists are stored as tuples and reals as floats: equal configs hash and emit alike.
+        pairs = []
         for pair in self.extra_pairs:
             if not (isinstance(pair, tuple) and len(pair) == 2 and all(
                     isinstance(v, Vector3) and all(map(_is_real, v.components())) for v in pair)):
-                raise ValueError(f"an extra pair must be two real Vector3s, got {pair!r}")
-            for v in pair:
-                ensure_unit(v)
+                raise ValueError(f"an extra pair must be two real Vector3s, got {_shown(pair)}")
+            try:
+                pairs.append(tuple([ensure_unit(Vector3(*map(float, v.components()))) for v in pair]))
+            except NonUnitVectorError as exc:
+                raise NonUnitVectorError(f"an extra pair must be two unit vectors: {exc}") from None
+        object.__setattr__(self, "extra_pairs", tuple(pairs))
         audited_pairs(self)  # two different pairs with one label raise
-        # Lists are stored as tuples and reals as floats: equal configs hash and emit alike.
         object.__setattr__(self, "tolerance", float(self.tolerance))
         object.__setattr__(self, "p_step", float(self.p_step))
         object.__setattr__(self, "angles_deg", tuple(map(float, self.angles_deg)))
-        object.__setattr__(self, "extra_pairs", tuple([
-            (Vector3(float(a.x), float(a.y), float(a.z)), Vector3(float(b.x), float(b.y), float(b.z)))
-            for a, b in self.extra_pairs]))
 
 
 @dataclass(frozen=True)
@@ -643,11 +632,7 @@ def _json_walk(obj, pad: str, put: Callable[[str], None], grids: dict) -> None:
         sep = "{" + inner
         for key, value in obj.items():
             put(f"{sep}{_quote(key)}: ")  # TypeError unless key is a str
-            # Most leaves are the floats of multivector dicts: skip a call.
-            if isinstance(value, float):
-                put(_json_float(value))
-            else:
-                _json_walk(value, inner, put, grids)
+            _json_walk(value, inner, put, grids)
             sep = comma
         put(pad + "}")
     elif isinstance(obj, (list, tuple)):

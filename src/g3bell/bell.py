@@ -20,7 +20,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-from .ga import Vector3, _set_x, _set_y, _set_z, dot, ensure_unit
+from .ga import Vector3, _is_int, _is_real, _set_x, _set_y, _set_z, _shown, dot, ensure_unit
 from .model import ORIENTATIONS, HiddenVariable, observable
 
 CorrelationFn = Callable[[Vector3, Vector3], float]
@@ -51,11 +51,7 @@ class ChshScenario:
     @classmethod
     def from_angles(cls, angles_deg: tuple[float, float, float, float]) -> ChshScenario:
         """Coplanar settings in the e1-e2 plane at the given angles."""
-        vectors = []
-        for deg in angles_deg:
-            rad = math.radians(deg)
-            vectors.append(Vector3(math.cos(rad), math.sin(rad), 0.0))
-        return cls(*vectors)
+        return cls(*[Vector3(math.cos(r), math.sin(r), 0.0) for r in map(math.radians, angles_deg)])
 
 
 DEFAULT_ANGLES_DEG = (0.0, 90.0, 45.0, 135.0)
@@ -84,9 +80,8 @@ def make_scalarizer(name: str, fn: ScalarizerFn) -> Scalarizer:
     for setting in _PROBE_SETTINGS:
         for hv in ORIENTATIONS:
             value = fn(setting, hv)
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not math.isfinite(value)):
-                raise ValueError(f"scalarizer {name!r} returned a non-real value: {value!r}")
+            if not _is_real(value):
+                raise ValueError(f"scalarizer {name!r} returned a non-real value: {_shown(value)}")
             if abs(value) > 1.0 + 1e-12:
                 raise ValueError(f"scalarizer {name!r} left [-1, 1]: {value!r}")
     return Scalarizer(name, fn)
@@ -309,8 +304,8 @@ def scalarizer_maxima(scalarizers: Sequence[Scalarizer], trials: int,
     continuing its own stream.  So for pure scalarizers only, the maxima and
     any exception one raises are those of one sequential fold.
     """
-    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
-        raise ValueError(f"trials must be an int >= 1, got {trials!r}")
+    if not (_is_int(trials) and trials >= 1):
+        raise ValueError(f"trials must be an int >= 1, got {_shown(trials)}")
     fns = [s.fn for s in scalarizers]
     rng = random.Random(seed)
     vector = _unit_vectors(rng).__next__

@@ -12,6 +12,7 @@ not e31.  Every operation is a pure function on immutable values.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 BLADE_NAMES = ("1", "e1", "e2", "e3", "e12", "e13", "e23", "e123")
@@ -41,6 +42,23 @@ _CAYLEY = (
 
 class NonUnitVectorError(ValueError):
     """A direction argument was not a unit vector within tolerance."""
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    # Not math.isfinite(x), which raises OverflowError past the largest float.
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+
+
+def _shown(x) -> str:
+    """repr(x), or its type (and bit length, for an int) when repr raises."""
+    try:
+        return repr(x)
+    except ValueError:
+        return f"<{type(x).__name__}{f' of {x.bit_length()} bits' if _is_int(x) else ''}>"
 
 
 def _max_magnitude(magnitudes) -> float:
@@ -131,7 +149,7 @@ class Multivector:
     def grade_norm(self, k: int) -> float:
         """Euclidean magnitude of the grade-k component."""
         if k not in GRADE_SLOTS:
-            raise ValueError(f"grade index must be 0..3, got {k!r}")
+            raise ValueError(f"grade index must be 0..3, got {_shown(k)}")
         return _grade_norms(self.coeffs)[k]
 
     def max_abs_coeff(self) -> float:
@@ -213,7 +231,7 @@ def gp(x: Multivector, y: Multivector) -> Multivector:
 def grade_project(x: Multivector, k: int) -> Multivector:
     """Component of x in the grade-k subspace."""
     if k not in GRADE_SLOTS:
-        raise ValueError(f"grade index must be 0..3, got {k!r}")
+        raise ValueError(f"grade index must be 0..3, got {_shown(k)}")
     slots = GRADE_SLOTS[k]
     return Multivector(tuple(c if i in slots else 0.0 for i, c in enumerate(x.coeffs)))
 

@@ -27,6 +27,7 @@ from .ga import (
     Multivector,
     Vector3,
     _max_magnitude,
+    _shown,
     grade_audit,
     gp,
 )
@@ -141,7 +142,7 @@ def expectation(product_fn: ProductForm, a: Vector3, b: Vector3,
 def p_grid_size(step: float) -> int:
     """len(p_grid(step)), computed without building the grid."""
     if not 0.0 < step <= 1.0:
-        raise ValueError(f"p-grid step must lie in (0, 1], got {step!r}")
+        raise ValueError(f"p-grid step must lie in (0, 1], got {_shown(step)}")
     span = 1.0 / step + 1e-9
     if span == math.inf:
         raise ValueError(f"p-grid step {step!r} is too small to count its points")

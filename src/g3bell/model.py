@@ -18,6 +18,7 @@ from .ga import (
     Multivector,
     Vector3,
     _set_coeffs,
+    _shown,
     cross,
     dot,
     ensure_unit,
@@ -37,7 +38,7 @@ class HiddenVariable:
 
     def __post_init__(self):
         if self.orientation not in (+1, -1):
-            raise ValueError(f"orientation must be +1 or -1, got {self.orientation!r}")
+            raise ValueError(f"orientation must be +1 or -1, got {_shown(self.orientation)}")
 
     @property
     def mu(self) -> Multivector:
@@ -56,7 +57,7 @@ class OrientationDistribution:
 
     def __post_init__(self):
         if not 0.0 <= self.p_plus <= 1.0:
-            raise ValueError(f"p_plus must lie in [0, 1], got {self.p_plus!r}")
+            raise ValueError(f"p_plus must lie in [0, 1], got {_shown(self.p_plus)}")
 
     @property
     def p_minus(self) -> float:

@@ -58,6 +58,12 @@ def default_report():
 
 # --- config validation ---------------------------------------------------------
 
+# How a rejection's message names each config field.
+FIELD_NAMES = {"tolerance": "tolerance", "p_step": "p-(grid )?step", "angles_deg": "angles",
+               "trials": "trials", "seed": "seed", "output_format": "output format",
+               "extra_pairs": "pair"}
+
+
 @pytest.mark.parametrize("kwargs", [
     {"tolerance": 0.0},
     {"tolerance": -1e-9},
@@ -90,9 +96,18 @@ def default_report():
     {"angles_deg": (10**400, 0.0, 0.0, 0.0)},
     {"extra_pairs": ((Vector3(10**400, 0, 0), Vector3(0, 1, 0)),)},
     {"seed": 10**5000},
+    # Ints too long to print: the message shows their type and bit length.
+    {"tolerance": 10**5000},
+    {"p_step": 10**5000},
+    {"trials": 10**5000},
+    {"output_format": 10**5000},
+    {"extra_pairs": 10**5000},
+    {"angles_deg": (10**5000, 0.0, 0.0, 0.0)},
+    {"extra_pairs": ((Vector3(10**5000, 0, 0), Vector3(0, 1, 0)),)},
 ])
 def test_config_rejects_invalid(kwargs):
-    with pytest.raises(ValueError):
+    (field,) = kwargs
+    with pytest.raises(ValueError, match=FIELD_NAMES[field]):
         AuditConfig(**kwargs)
 
 
@@ -105,7 +120,8 @@ def test_config_rejects_invalid(kwargs):
     {"trials": 10**12},
 ])
 def test_config_rejects_unbounded_work(kwargs):
-    with pytest.raises(ValueError):
+    (field,) = kwargs
+    with pytest.raises(ValueError, match=FIELD_NAMES[field]):
         AuditConfig(**kwargs)
 
 

@@ -167,6 +167,9 @@ def test_non_real_scalarizer_rejected():
     # A bool is an int to isinstance, but not a real value.
     with pytest.raises(ValueError, match="non-real"):
         make_scalarizer("bool", lambda a, hv: hv.orientation > 0)
+    # An int past the largest float, which math.isfinite cannot take.
+    with pytest.raises(ValueError, match="non-real"):
+        make_scalarizer("huge", lambda a, hv: 10**400)
 
 
 def test_registered_names():
