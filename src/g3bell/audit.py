@@ -88,8 +88,6 @@ class AuditConfig:
     def __post_init__(self):
         if not (_is_real(self.tolerance) and self.tolerance > 0.0):
             raise ValueError(f"tolerance must be a positive real, got {_shown(self.tolerance)}")
-        if not _is_real(self.p_step):
-            raise ValueError(f"p-step must be a finite real, got {_shown(self.p_step)}")
         if p_grid_size(self.p_step) > MAX_GRID_POINTS:
             raise ValueError(f"p-step {self.p_step!r} gives more than {MAX_GRID_POINTS} grid points")
         if not (isinstance(self.angles_deg, (tuple, list)) and len(self.angles_deg) == 4
@@ -663,11 +661,11 @@ def _json_walk(obj, pad: str, put: Callable[[str], None], grids: dict) -> None:
 
 def _json_column(column) -> list[str]:
     """``_json_float`` of each value, from one ``%.15g`` pass: ``_json_float``
-    keeps that text exactly when it has a ``.`` and no ``e``, adds ``.0`` to an
-    integral one (``-0`` is ``0.0``), and redoes only exponent forms, NaN and
-    the infinities.  A column with repeated values formats each distinct one
-    once, in order of first appearance, so a NaN or infinity still raises from
-    the first in the column; 0.0 and -0.0 share a key, both written ``0.0``."""
+    keeps that text exactly when it has a ``.`` and no ``e``, so only the other
+    cells (integral ones, exponent forms, NaN and the infinities) go through
+    it.  A column with repeated values formats each distinct one once, in
+    order of first appearance, so a NaN or infinity still raises from the
+    first in the column; 0.0 and -0.0 share a key, both written ``0.0``."""
     distinct = dict.fromkeys(column)
     if len(distinct) < len(column):
         cells = dict(zip(distinct, _json_column(tuple(distinct))))
@@ -675,9 +673,7 @@ def _json_column(column) -> list[str]:
     text = "%.15g " * len(column) % tuple(column)
     cells = text.split()
     if text.count(".") < len(cells) or "e" in text:
-        cells = [s if "." in s and "e" not in s
-                 else _json_float(x) if not s.lstrip("-").isdigit()
-                 else "0.0" if s == "-0" else s + ".0" for s, x in zip(cells, column)]
+        cells = [s if "." in s and "e" not in s else _json_float(x) for s, x in zip(cells, column)]
     return cells
 
 
@@ -741,23 +737,23 @@ def _render_text(doc: dict) -> str:
     lines: list[str] = []
     push = lines.append
 
+    def section(title: str) -> None:
+        lines.extend(("", title, "-" * 72))
+
     push(f"{TOOL_NAME} audit report (v{TOOL_VERSION})")
     push("=" * 72)
     push(f"config: tolerance={cfg['tolerance']:g} | p-step={cfg['p_step']:g} | "
          f"angles={'/'.join(_num(x) for x in cfg['angles_deg'])} deg | "
          f"trials={cfg['trials']} | seed={cfg['seed']}")
     push(f"audited pairs: {', '.join(cfg['pairs'])}")
-    push("")
-    push("claim map (id: statement | check)")
-    push("-" * 72)
+
+    section("claim map (id: statement | check)")
     for claim in CLAIM_MAP:
         push(f"  {claim.id}:")
         push(f"    {claim.statement}")
         push(f"    check: {claim.check}")
-    push("")
 
-    push("identity check (quoted product identity vs literal observable product)")
-    push("-" * 72)
+    section("identity check (quoted product identity vs literal observable product)")
     for key, info in doc["identity_check"].items():
         push(f"pair {key}  (a.b = {_num(info['dot'])}, |a x b| = {_num(info['cross_norm'])})")
         for label, tag in (("orientation_plus", "+1"), ("orientation_minus", "-1")):
@@ -768,10 +764,8 @@ def _render_text(doc: dict) -> str:
              f"bivector magnitude equals |a x b|: {_yn(info['bivector_magnitudes_match_cross_norm'])}")
         push(f"  raw form orientation-independent: {_yn(info['raw_orientation_independent'])} | "
              f"identity bivector flips with orientation: {_yn(info['identity_bivector_flips_with_orientation'])}")
-    push("")
 
-    push("grade support (family sweep over the p-grid)")
-    push("-" * 72)
+    section("grade support (family sweep over the p-grid)")
     for key, entry in doc["grade_support"].items():
         push(f"pair {key}")
         for form in _FORMS:
@@ -782,29 +776,23 @@ def _render_text(doc: dict) -> str:
         for kind in _KINDS:
             iso = entry["isotropic"]["identity"][kind.value]
             push(f"  isotropic expectation | {kind.value:18s}: {iso['rendered']}")
-    push("")
 
-    push("normalization")
-    push("-" * 72)
+    section("normalization")
     n = doc["normalization"]
     push(f"scalar weights total: {_mv_str(n['scalar_total'])} | "
          f"valid probability measure: {_yn(n['scalar_valid_probability_measure'])}")
     push(f"directed trivector total: {_mv_str(n['directed_total'])} | "
          f"valid probability measure: {_yn(n['directed_valid_probability_measure'])}")
     push(f"totals constant over p-grid: {_yn(n['totals_constant_over_grid'])}")
-    push("")
 
-    push("functional range under the directed measure")
-    push("-" * 72)
+    section("functional range under the directed measure")
     for key, entry in doc["functional_range"].items():
         push(f"pair {key}: max |scalar component| = "
              f"{_num(entry['identity']['max_abs_scalar_component'])} (identity), "
              f"{_num(entry['raw']['max_abs_scalar_component'])} (raw) | "
              f"nonzero scalar attained: {_yn(entry['identity']['nonzero_scalar_attained'])}")
-    push("")
 
-    push("chsh")
-    push("-" * 72)
+    section("chsh")
     c = doc["chsh"]
     push(f"scenario angles: {'/'.join(_num(x) for x in c['angles_deg'])} deg (e1-e2 plane)")
     push(f"lhv brute-force bound: {_num(c['lhv_bruteforce_bound'])}")
@@ -813,16 +801,12 @@ def _render_text(doc: dict) -> str:
         push(f"  {name}: {_num(value)}")
     push(f"quantum-target S: {_num(c['quantum_target_s'])} | "
          f"exceeds classical bound: {_yn(c['quantum_target_exceeds_lhv_bound'])}")
-    push("")
 
-    push("verdicts")
-    push("-" * 72)
+    section("verdicts")
     for claim in doc["claims"]:
         push(f"{claim['statement']}: {claim['verdict']}")
-    push("")
 
-    push("notes")
-    push("-" * 72)
+    section("notes")
     for note in doc["notes"]:
         push(f"- {note}")
     push("")

@@ -148,8 +148,8 @@ class Multivector:
 
     def grade_norm(self, k: int) -> float:
         """Euclidean magnitude of the grade-k component."""
-        if k not in GRADE_SLOTS:
-            raise ValueError(f"grade index must be 0..3, got {_shown(k)}")
+        if not (_is_int(k) and k in GRADE_SLOTS):
+            raise ValueError(f"grade index must be an int in 0..3, got {_shown(k)}")
         return _grade_norms(self.coeffs)[k]
 
     def max_abs_coeff(self) -> float:
@@ -230,8 +230,8 @@ def gp(x: Multivector, y: Multivector) -> Multivector:
 
 def grade_project(x: Multivector, k: int) -> Multivector:
     """Component of x in the grade-k subspace."""
-    if k not in GRADE_SLOTS:
-        raise ValueError(f"grade index must be 0..3, got {_shown(k)}")
+    if not (_is_int(k) and k in GRADE_SLOTS):
+        raise ValueError(f"grade index must be an int in 0..3, got {_shown(k)}")
     slots = GRADE_SLOTS[k]
     return Multivector(tuple(c if i in slots else 0.0 for i, c in enumerate(x.coeffs)))
 

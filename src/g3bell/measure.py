@@ -26,6 +26,7 @@ from .ga import (
     ONE,
     Multivector,
     Vector3,
+    _is_real,
     _max_magnitude,
     _shown,
     grade_audit,
@@ -141,8 +142,8 @@ def expectation(product_fn: ProductForm, a: Vector3, b: Vector3,
 
 def p_grid_size(step: float) -> int:
     """len(p_grid(step)), computed without building the grid."""
-    if not 0.0 < step <= 1.0:
-        raise ValueError(f"p-grid step must lie in (0, 1], got {_shown(step)}")
+    if not (_is_real(step) and 0.0 < step <= 1.0):
+        raise ValueError(f"p-grid step must be a real in (0, 1], got {_shown(step)}")
     span = 1.0 / step + 1e-9
     if span == math.inf:
         raise ValueError(f"p-grid step {step!r} is too small to count its points")

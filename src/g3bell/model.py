@@ -17,6 +17,8 @@ from .ga import (
     I,
     Multivector,
     Vector3,
+    _is_int,
+    _is_real,
     _set_coeffs,
     _shown,
     cross,
@@ -37,8 +39,8 @@ class HiddenVariable:
     orientation: int
 
     def __post_init__(self):
-        if self.orientation not in (+1, -1):
-            raise ValueError(f"orientation must be +1 or -1, got {_shown(self.orientation)}")
+        if not (_is_int(self.orientation) and self.orientation in (+1, -1)):
+            raise ValueError(f"orientation must be the int +1 or -1, got {_shown(self.orientation)}")
 
     @property
     def mu(self) -> Multivector:
@@ -56,8 +58,8 @@ class OrientationDistribution:
     p_plus: float
 
     def __post_init__(self):
-        if not 0.0 <= self.p_plus <= 1.0:
-            raise ValueError(f"p_plus must lie in [0, 1], got {_shown(self.p_plus)}")
+        if not (_is_real(self.p_plus) and 0.0 <= self.p_plus <= 1.0):
+            raise ValueError(f"p_plus must be a real in [0, 1], got {_shown(self.p_plus)}")
 
     @property
     def p_minus(self) -> float:

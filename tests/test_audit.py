@@ -2,6 +2,7 @@ import ast
 import contextlib
 import dataclasses
 import gc
+import importlib
 import io
 import json
 import math
@@ -147,7 +148,11 @@ def test_version_kept_in_one_place():
     assert g3bell.__version__ is TOOL_VERSION
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with pyproject.open("rb") as fh:
-        assert tomllib.load(fh)["project"]["version"] == TOOL_VERSION
+        config = tomllib.load(fh)
+    # The package metadata reads the version from the source, not a second literal.
+    assert "version" not in config["project"] and "version" in config["project"]["dynamic"]
+    module, _, name = config["tool"]["setuptools"]["dynamic"]["version"]["attr"].rpartition(".")
+    assert getattr(importlib.import_module(module), name) is TOOL_VERSION
 
 
 def test_cli_defaults_are_the_config_defaults():
@@ -840,15 +845,81 @@ def test_end_point_verdicts_equal_fine_grid_verdicts(pair, shape, scale):
     # the interior of a 501-point grid must not change any of the ten verdicts.
     tol = AuditConfig().tolerance
     pair = _tilted(pair, shape, scale * tol)
-    a, b = pair
-    assume(not any(audit._undecided(m, t) for m in (abs(dot(a, b)), cross(a, b).norm())
-                   for t in (tol, 2.0 * tol)))
+    _assume_decided(pair, tol)
     if _label_clash([pair]):
         _assert_label_clash_raises(pair)
         return
     coarse, fine = ([c["verdict"] for c in run_audit(AuditConfig(
         p_step=step, trials=10, extra_pairs=(pair,))).document["claims"]] for step in (1.0, 0.002))
     assert coarse == fine
+
+
+def _assume_decided(pair, tol: float) -> None:
+    """Skip a pair whose |a.b| or |a x b| lies in the undecided band of tol or
+    2*tol, where a correct audit may give either verdict."""
+    a, b = pair
+    assume(not any(audit._undecided(m, t) for m in (abs(dot(a, b)), cross(a, b).norm())
+                   for t in (tol, 2.0 * tol)))
+
+
+def _observed_leaves(report) -> list:
+    """Every value in each claim's observed record, in insertion order, with
+    the dict keys (the pair labels among them) dropped."""
+    leaves = []
+
+    def walk(node):
+        if isinstance(node, dict):
+            node = list(node.values())
+        if isinstance(node, list):
+            for child in node:
+                walk(child)
+        else:
+            leaves.append(node)
+
+    for claim in report.document["claims"]:
+        walk(claim["observed"])
+    return leaves
+
+
+def _mapped(pair, f):
+    """The pair with f applied to each vector's components."""
+    return tuple(Vector3(*f(*v.components())) for v in pair)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.tuples(_unit_vectors, _unit_vectors),
+       st.sampled_from(["as_drawn", "near_parallel", "near_orthogonal"]), st.floats(0.25, 4.0))
+@example((Vector3(0.6, 0.0, 0.8), Vector3(0.0, 0.6, 0.8)), "as_drawn", 1.0)
+@example((Vector3(0.6, 0.0, 0.8), Vector3(0.0, 1.0, 0.0)), "as_drawn", 1.0)
+@example((Vector3(0.0, 0.6, 0.8), Vector3(0.8, 0.0, 0.6)), "near_parallel", 1.5)
+@example((Vector3(0.0, 0.8, 0.6), Vector3(0.6, 0.0, 0.8)), "near_orthogonal", 3.0)
+def test_verdicts_are_invariant_under_frame_symmetries(pair, shape, scale):
+    # A cyclic axis permutation of both settings is a rotation, and swapping
+    # them or negating both keeps a.b and |a x b|: no claim may tell the
+    # images apart, and every observed value may move only by rounding.
+    tol = AuditConfig().tolerance
+    a, b = pair = _tilted(pair, shape, scale * tol)
+    images = [pair, _mapped(pair, lambda x, y, z: (y, z, x)), (b, a),
+              _mapped(pair, lambda x, y, z: (-x, -y, -z))]
+    for image in images:
+        _assume_decided(image, tol)
+        if _label_clash([image]):
+            _assert_label_clash_raises(image)
+            return
+        assume(image not in DEFAULT_PAIRS)  # audited once, as a default pair
+    reports = [run_audit(AuditConfig(p_step=0.1, trials=10, extra_pairs=(image,)))
+               for image in images]
+    verdicts = [[c["verdict"] for c in report.document["claims"]] for report in reports]
+    assert verdicts[1:] == verdicts[:1] * 3
+    original = _observed_leaves(reports[0])
+    for report in reports[1:]:
+        leaves = _observed_leaves(report)
+        assert len(leaves) == len(original)
+        for x, y in zip(leaves, original):
+            if isinstance(y, float):
+                assert abs(x - y) <= 4.0 * math.ulp(1.0), (x, y)
+            else:
+                assert x == y
 
 
 # --- rendering -----------------------------------------------------------------------
@@ -1184,14 +1255,10 @@ def test_json_document_writes_every_planted_cell_as_json_float(name):
         assert got == reference_emit_json(tree)
 
 
-def test_json_column_writes_integral_cells_without_json_float(monkeypatch):
-    calls = []
-    json_float = audit._json_float
-    monkeypatch.setattr(audit, "_json_float", lambda x: calls.append(x) or json_float(x))
+def test_json_column_writes_integral_and_non_finite_cells_as_json_float():
     column = (-1.0, 0.0, -0.0, 2.0, 0.9999999999999999, -123456789012345.6, 0.5, 1e15)
-    assert audit._json_column(column) == list(map(json_float, column))
+    assert audit._json_column(column) == list(map(audit._json_float, column))
     assert audit._json_column((-1.0,) * 501) == ["-1.0"] * 501
-    assert calls == [1e15]  # the exponent form only
     for x in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="not JSON compliant"):
             audit._json_column((0.5, x))
@@ -1203,7 +1270,7 @@ def test_json_column_formats_each_distinct_value_once(monkeypatch):
     monkeypatch.setattr(audit, "_json_float", lambda x: calls.append(x) or json_float(x))
     column = (1e-5, 0.5, 1e-5, -0.0, 0.0, 3.0, 1e-5, 3.0, -0.0, 2.5e-300)
     assert audit._json_column(column) == [json_float(x) for x in column]
-    assert calls == [1e-5, 2.5e-300]
+    assert calls == [1e-5, -0.0, 3.0, 2.5e-300]
     # The directed identity probe's e123 holds 3 distinct values in 501.
     e123 = sweeps(product_identity, *_EXAMPLE_PAIR, (DIRECTED,), p_grid(0.002))[DIRECTED].columns[7]
     assert len(set(e123)) == 3 and len(e123) == 501

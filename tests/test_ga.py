@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import example, given, assume, settings
@@ -20,6 +21,7 @@ from g3bell.ga import (
     Vector3,
     ZERO,
     _max_magnitude,
+    _shown,
     cross,
     dot,
     ensure_unit,
@@ -98,10 +100,13 @@ def test_grade_project_examples():
     assert grade_project(I, 1) == ZERO
 
 
-@pytest.mark.parametrize("bad", [-1, 4, 17])
+# A bool or an integral float is not a grade index, though one would hash as 1 or 2.
+@pytest.mark.parametrize("bad", [-1, 4, 17, True, 2.0])
 def test_grade_project_rejects_bad_grade(bad):
-    with pytest.raises(ValueError):
-        grade_project(ONE, bad)
+    with pytest.raises(ValueError, match=re.escape(_shown(bad))):
+        grade_project(E12, bad)
+    with pytest.raises(ValueError, match=re.escape(_shown(bad))):
+        Multivector.blade(1).grade_norm(bad)
 
 
 @given(multivectors)

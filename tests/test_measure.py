@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -8,7 +9,9 @@ from hypothesis import example, given, assume
 from hypothesis import strategies as st
 
 from g3bell.audit import _KINDS
-from g3bell.ga import GRADE_SLOTS, GRADES, GradeSupport, I, ONE, Multivector, Vector3, ZERO, cross, dot
+from g3bell.ga import (
+    GRADE_SLOTS, GRADES, GradeSupport, I, ONE, Multivector, Vector3, ZERO, _shown, cross, dot,
+)
 from g3bell.measure import (
     _UNIT,
     DEFAULT_P_GRID,
@@ -136,9 +139,10 @@ def test_p_grid_rejects_bad_step(bad):
         p_grid(bad)
 
 
-@pytest.mark.parametrize("bad", [0.0, -0.5, 1.5, math.nan, 5e-324])
+# A bool and a numeric string are not steps.
+@pytest.mark.parametrize("bad", [0.0, -0.5, 1.5, math.nan, 5e-324, True, "0.1"])
 def test_p_grid_size_rejects_bad_step(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(_shown(bad))):
         p_grid_size(bad)
 
 

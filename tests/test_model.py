@@ -3,6 +3,7 @@ import dataclasses
 import inspect
 import math
 import pickle
+import re
 
 import pytest
 from hypothesis import given, assume
@@ -16,6 +17,7 @@ from g3bell.ga import (
     NonUnitVectorError,
     Vector3,
     ZERO,
+    _shown,
     cross,
     dot,
     gp,
@@ -113,9 +115,10 @@ def test_hidden_variable_is_unit_trivector():
     assert ORIENTATIONS[1].mu == -I
 
 
-@pytest.mark.parametrize("bad", [0, 2, -2])
+# A bool or a float equal to 1 is not an orientation.
+@pytest.mark.parametrize("bad", [0, 2, -2, True, 1.0])
 def test_hidden_variable_rejects_bad_orientation(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(_shown(bad))):
         HiddenVariable(bad)
 
 
@@ -124,9 +127,10 @@ def test_distribution_weights():
     assert dist.p_minus == 0.7
 
 
-@pytest.mark.parametrize("bad", [-0.1, 1.1, 2.0])
+# A bool and a numeric string are not weights.
+@pytest.mark.parametrize("bad", [-0.1, 1.1, 2.0, True, "0.5"])
 def test_distribution_rejects_out_of_range(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(_shown(bad))):
         OrientationDistribution(bad)
 
 
