@@ -9,7 +9,7 @@ header, so every verdict line is traceable to the check that produced it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from itertools import chain, compress
 from json.encoder import encode_basestring_ascii as _quote
@@ -105,7 +105,7 @@ class AuditConfig:
         # Lists are stored as tuples and reals as floats: equal configs hash and emit alike.
         pairs = []
         for pair in self.extra_pairs:
-            if not (isinstance(pair, tuple) and len(pair) == 2 and all(
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and all(
                     isinstance(v, Vector3) and all(map(_is_real, v.components())) for v in pair)):
                 raise ValueError(f"an extra pair must be two real Vector3s, got {_shown(pair)}")
             try:
@@ -261,13 +261,12 @@ def run_audit(config: AuditConfig) -> AuditReport:
         "chsh": _chsh_section(config),
     }
     claims = []
-    for claim in CLAIM_MAP:
+    for claim, entry in zip(CLAIM_MAP, doc["claim_map"]):
         ok, observed = claim.evaluate(doc, pairs)
         if degenerate:
             ok, observed = None, {**observed, "reason": "degenerate tolerance"}
         verdict = INFORMATIONAL if ok is None else CONFIRMED if ok else REFUTED
-        claims.append({"id": claim.id, "statement": claim.statement, "check": claim.check,
-                       "verdict": verdict, "observed": observed})
+        claims.append({**entry, "verdict": verdict, "observed": observed})
     doc["claims"] = claims
     doc["notes"] = notes
     return AuditReport(doc)
@@ -397,12 +396,7 @@ def _chsh_section(config: AuditConfig) -> dict:
     s_value = chsh(quantum_target, scenario)
     return {
         "angles_deg": list(config.angles_deg),
-        "scenario": {
-            "a": list(scenario.a.components()),
-            "a_prime": list(scenario.a_prime.components()),
-            "b": list(scenario.b.components()),
-            "b_prime": list(scenario.b_prime.components()),
-        },
+        "scenario": {f.name: list(getattr(scenario, f.name).components()) for f in fields(scenario)},
         "lhv_bruteforce_bound": lhv_bruteforce_bound(),
         "trials": config.trials,
         "seed": config.seed,
@@ -740,7 +734,7 @@ def _render_text(doc: dict) -> str:
     def section(title: str) -> None:
         lines.extend(("", title, "-" * 72))
 
-    push(f"{TOOL_NAME} audit report (v{TOOL_VERSION})")
+    push(f"{doc['tool']['name']} audit report (v{doc['tool']['version']})")
     push("=" * 72)
     push(f"config: tolerance={cfg['tolerance']:g} | p-step={cfg['p_step']:g} | "
          f"angles={'/'.join(_num(x) for x in cfg['angles_deg'])} deg | "
@@ -748,10 +742,10 @@ def _render_text(doc: dict) -> str:
     push(f"audited pairs: {', '.join(cfg['pairs'])}")
 
     section("claim map (id: statement | check)")
-    for claim in CLAIM_MAP:
-        push(f"  {claim.id}:")
-        push(f"    {claim.statement}")
-        push(f"    check: {claim.check}")
+    for claim in doc["claim_map"]:
+        push(f"  {claim['id']}:")
+        push(f"    {claim['statement']}")
+        push(f"    check: {claim['check']}")
 
     section("identity check (quoted product identity vs literal observable product)")
     for key, info in doc["identity_check"].items():

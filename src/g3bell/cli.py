@@ -130,9 +130,5 @@ def main(argv: list[str] | None = None) -> int:
     return 0 if report.all_confirmed() else 1
 
 
-def main_entry() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    main_entry()
+    sys.exit(main())

@@ -52,18 +52,21 @@ _GRADE_SPANS = tuple(slice(slots[0], slots[-1] + 1) for slots in GRADE_SLOTS.val
 _UNIT = {MeasureKind.SCALAR_WEIGHTS: ONE, MeasureKind.DIRECTED_TRIVECTOR: I}
 
 
+def _total_row(p: float, kind: MeasureKind) -> list[float]:
+    """The coefficients of ``unit.scale(p) + unit.scale(1 - p)``."""
+    return [p * u + (1.0 - p) * u for u in _UNIT[kind].coeffs]
+
+
 def measure_total(dist: OrientationDistribution, kind: MeasureKind) -> Multivector:
-    """Total weight of the measure: scalar 1, or the trivector I.  It is
-    ``measure_total_columns`` read at its one point p_plus."""
-    return Multivector(next(zip(*measure_total_columns((dist.p_plus,), kind))))
+    """Total weight of the measure: scalar 1, or the trivector I."""
+    return Multivector(tuple(_total_row(dist.p_plus, kind)))
 
 
 def measure_total_columns(grid: tuple[float, ...],
                           kind: MeasureKind) -> tuple[tuple[float, ...], ...]:
     """The measure total at each grid point, column-major: ``columns[i][j]`` is
-    slot ``i`` of ``unit.scale(p) + unit.scale(1 - p)`` at ``p = grid[j]``."""
-    # Built a point at a time and transposed: cheapest at measure_total's one point.
-    return tuple(zip(*[[p * u + (1.0 - p) * u for u in _UNIT[kind].coeffs] for p in grid]))
+    slot ``i`` of ``measure_total`` at ``p = grid[j]``."""
+    return tuple(zip(*[_total_row(p, kind) for p in grid]))
 
 
 def is_valid_probability_measure(total: Multivector, tol: float) -> bool:

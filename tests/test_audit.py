@@ -7,6 +7,7 @@ import io
 import json
 import math
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -39,7 +40,7 @@ from g3bell.audit import (
 )
 from g3bell.measure import (MeasureKind, Sweep, is_valid_probability_measure, measure_total,
                             p_grid, p_grid_size, sweeps)
-from g3bell.cli import _VALUE_FLAGS, angles_argument, build_parser, main, main_entry, pair_argument
+from g3bell.cli import _VALUE_FLAGS, angles_argument, build_parser, main, pair_argument
 
 from _oracle import reference_emit_json, reference_sweep_rows, reference_within
 
@@ -163,6 +164,7 @@ def test_cli_defaults_are_the_config_defaults():
 @pytest.mark.parametrize("field, value", [
     ("angles_deg", [0.0, 90.0, 45.0, 135.0]),
     ("extra_pairs", [(Vector3(0.0, 0.0, 1.0), Vector3(1.0, 0.0, 0.0))]),
+    ("extra_pairs", [[Vector3(0.0, 0.0, 1.0), Vector3(1.0, 0.0, 0.0)]]),
 ])
 def test_config_stores_a_list_as_its_tuple(field, value):
     from_list = AuditConfig(**{field: value})
@@ -200,19 +202,26 @@ def test_value_flags_are_the_parsers_value_taking_options():
     assert options == set(_VALUE_FLAGS)
 
 
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+
 def test_console_script_entry_exits_zero(monkeypatch, capsys):
+    # An installed console script imports module:attr and runs sys.exit(attr()).
+    # The line is read without tomllib, which Python 3.10 lacks.
+    target = re.search(r'^g3bell = "(.+)"$', PYPROJECT.read_text(), re.M).group(1)
+    module, _, attr = target.partition(":")
+    fn = getattr(importlib.import_module(module), attr)
     monkeypatch.setattr(sys, "argv", ["g3bell", "--p-step", "0.5", "--trials", "2"])
     with pytest.raises(SystemExit) as exc:
-        main_entry()
+        sys.exit(fn())
     assert exc.value.code == 0
     assert "verdicts" in capsys.readouterr().out
 
 
-def test_console_script_is_main_entry():
+def test_console_script_is_cli_main():
     tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
-    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-    with pyproject.open("rb") as fh:
-        assert tomllib.load(fh)["project"]["scripts"] == {"g3bell": "g3bell.cli:main_entry"}
+    with PYPROJECT.open("rb") as fh:
+        assert tomllib.load(fh)["project"]["scripts"] == {"g3bell": "g3bell.cli:main"}
 
 
 def _third_party_imports(source: str) -> list[str]:
@@ -713,6 +722,10 @@ def test_claim_table_drives_every_claim_reader(monkeypatch, capsys):
     assert ("  extra_claim:\n    an extra claim that never holds\n"
             "    check: the evaluator says no\n") in text
     assert "\nan extra claim that never holds: refuted\n" in text
+    # The text view reads the claim map from the report, not from the table.
+    report = run_audit(AuditConfig(trials=20, p_step=0.5))
+    monkeypatch.undo()
+    assert emit(report) == text
 
 
 _unit_vectors = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: math.hypot(*v) > 0.1).map(

@@ -18,10 +18,12 @@ Any change to these reports, down to the last digit of a maximum, fails
 here; a deliberate change regenerates the files and says why.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
+from g3bell.audit import AuditReport, emit
 from g3bell.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -57,3 +59,10 @@ def test_default_report_matches_golden_bytes(argv, golden, exit_code, capsys):
     assert code == exit_code
     assert out.encode() == (DATA / golden).read_bytes()
 
+
+
+def test_text_golden_renders_from_the_json_golden():
+    # The two default goldens differ only in --format; the text writer reads
+    # nothing but the report document.
+    doc = json.loads((DATA / "default_report.json").read_bytes())
+    assert emit(AuditReport(doc), "text").encode() == (DATA / "default_report.txt").read_bytes()
