@@ -12,8 +12,10 @@ and all; ``p_grid`` must return the same tuple for every step.
 The CHSH Monte Carlo reference at the end is the straightforward loop that
 ``scalarizer_maxima`` streamlines: a fresh generator per scalarizer and the
 package's definitional ``chsh`` over ``scalar_correlation``, the correlation
-of scalarized observables defined here.  It serves as a bitwise oracle for
-the fast path.
+of scalarized observables defined here.  ``reference_chsh_trials`` yields
+each trial's signed S, and its maximum |S| serves as a bitwise oracle for the
+fast path.  ``reference_grade0_projection`` is the grade-0 scalarizer as the
+algebra states it, slot 0 of the literal product ``gp(mu, a)``.
 
 ``reference_expectation`` is the expectation as first written: a loop over
 the two orientation atoms that adds each weighted term to ``ZERO`` through
@@ -117,24 +119,35 @@ def scalar_correlation(s: Scalarizer, a: Vector3, b: Vector3,
     return sum(w * s.fn(a, hv) * s.fn(b, hv) for w, hv in zip(weights, ORIENTATIONS))
 
 
+def reference_grade0_projection(a: Vector3, hv) -> float:
+    """Scalar part of the observable mu*a, taken from the literal product."""
+    return gp(hv.mu, a.as_multivector()).coeffs[0]
+
+
+def reference_chsh_trials(s: Scalarizer, trials: int, seed: int):
+    """(scenario, S) of each trial of the seeded stream, with S evaluated
+    through ``chsh``."""
+    rng = random.Random(seed)
+    for _ in range(trials):
+        scenario = ChshScenario(
+            reference_unit_vector(rng),
+            reference_unit_vector(rng),
+            reference_unit_vector(rng),
+            reference_unit_vector(rng),
+        )
+        dist = OrientationDistribution(rng.random())
+        yield scenario, chsh(lambda a, b: scalar_correlation(s, a, b, dist), scenario)
+
+
 def reference_scalarizer_maxima(scalarizers, trials: int, seed: int) -> tuple[float, ...]:
     """Max |S| per scalarizer, re-seeding and redrawing every scenario for
-    each scalarizer and evaluating S through ``chsh``."""
+    each scalarizer."""
     maxima = []
     for s in scalarizers:
-        rng = random.Random(seed)
         worst = 0.0
-        for _ in range(trials):
-            scenario = ChshScenario(
-                reference_unit_vector(rng),
-                reference_unit_vector(rng),
-                reference_unit_vector(rng),
-                reference_unit_vector(rng),
-            )
-            dist = OrientationDistribution(rng.random())
-            value = abs(chsh(lambda a, b: scalar_correlation(s, a, b, dist), scenario))
-            if value > worst:
-                worst = value
+        for _, value in reference_chsh_trials(s, trials, seed):
+            if abs(value) > worst:
+                worst = abs(value)
         maxima.append(worst)
     return tuple(maxima)
 

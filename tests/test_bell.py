@@ -2,19 +2,21 @@ import inspect
 import math
 import os
 import random
+import sys
 import threading
 
 import pytest
-from hypothesis import given, assume
+from hypothesis import example, given, assume
 from hypothesis import strategies as st
 
 from g3bell.ga import NonUnitVectorError, Vector3, dot
 from g3bell import bell
 from g3bell.audit import AuditConfig, run_audit
-from g3bell.model import ORIENTATIONS, OrientationDistribution
+from g3bell.model import ORIENTATIONS, OrientationDistribution, observable
 from g3bell.bell import (
     DEFAULT_ANGLES_DEG,
     ChshScenario,
+    Scalarizer,
     _unit_vectors,
     chsh,
     default_scalarizers,
@@ -26,7 +28,8 @@ from g3bell.bell import (
     scalarizer_maxima,
 )
 
-from _oracle import reference_scalarizer_maxima, reference_unit_vector, scalar_correlation
+from _oracle import (reference_chsh_trials, reference_grade0_projection,
+                     reference_scalarizer_maxima, reference_unit_vector, scalar_correlation)
 
 TOL = 1e-12
 
@@ -73,6 +76,27 @@ def test_orientation_sign_correlation_is_one():
 def test_grade0_correlation_is_zero():
     for pair in ((E1V, E2V), (E1V, E3V), (E2V, E3V)):
         assert scalar_correlation(GRADE0, *pair, OrientationDistribution(0.5)) == 0.0
+
+
+@given(unit_vectors())
+@example(Vector3(-0.0, -0.0, -1.0))
+@example(Vector3(-1.0, 0.0, -0.0))
+def test_grade0_projection_is_slot_0_of_the_literal_product(a):
+    # Written out in closed form; the oracle takes the algebra's own product.
+    for hv in ORIENTATIONS:
+        value = bell._grade0_projection(a, hv)
+        for expected in (reference_grade0_projection(a, hv), observable(a, hv).coeffs[0]):
+            assert math.copysign(1.0, value) == math.copysign(1.0, expected)
+            assert value.hex() == expected.hex()
+
+
+@pytest.mark.parametrize("a", [Vector3(1, 1, 0), Vector3(0, 0, 0), Vector3(0.5, 0, 0)])
+def test_grade0_projection_rejects_non_unit_as_observable_does(a):
+    for hv in ORIENTATIONS:
+        with pytest.raises(NonUnitVectorError):
+            observable(a, hv)
+        with pytest.raises(NonUnitVectorError):
+            bell._grade0_projection(a, hv)
 
 
 def test_component_sign_antipodal_correlation():
@@ -235,13 +259,48 @@ CONTINUOUS = (
 )
 
 
+# The oracle loop's grade-0 projection is its own, so it shares no code with the fast path's.
+REFERENCE_DEFAULTS = (make_scalarizer("grade0_projection", reference_grade0_projection),
+                      ORIENT_SIGN, COMPONENT_SIGN)
+
+
 @pytest.mark.parametrize("seed", [1, 42, 2024])
 def test_scalarizer_maxima_bitwise_equal_to_reference_loop(seed):
-    scalarizers = default_scalarizers() + CONTINUOUS
-    fast = scalarizer_maxima(scalarizers, trials=300, seed=seed)
-    assert fast == reference_scalarizer_maxima(scalarizers, trials=300, seed=seed)
+    fast = scalarizer_maxima(default_scalarizers() + CONTINUOUS, trials=300, seed=seed)
+    reference = reference_scalarizer_maxima(REFERENCE_DEFAULTS + CONTINUOUS, trials=300, seed=seed)
+    assert [v.hex() for v in fast] == [v.hex() for v in reference]
     for value in fast[3:]:
         assert value not in (0.0, 1.0, 2.0)
+
+
+# Each default scalarizer's outputs, as float.hex, and |S| on every trial.
+DEFAULT_TRIALS = {
+    "grade0_projection": ({(0.0).hex()}, 0.0),
+    "orientation_sign": ({(1.0).hex(), (-1.0).hex()}, 2.0),
+    "component_sign": ({(1.0).hex(), (-1.0).hex()}, 2.0),
+}
+
+
+@pytest.mark.parametrize("seed", [42, 1, 7])
+def test_default_trials_are_the_closed_forms(seed):
+    """Each default scalarizer is lambda*g(setting), and lambda^2 = 1, so both
+    atoms of a trial give the same CHSH bracket B = g(a)(g(b) - g(b')) +
+    g(a')(g(b) + g(b')), and S = p*B + (1-p)*B = B: 0 for g = 0, +-2 for
+    g = +-1.  So the reported maxima follow from the algebra, not the sampling."""
+    for s in default_scalarizers():
+        outputs, magnitude = DEFAULT_TRIALS[s.name]
+        seen = []
+
+        def recorded(a, hv, fn=s.fn):
+            seen.append(fn(a, hv))
+            return seen[-1]
+
+        for sc, value in reference_chsh_trials(Scalarizer(s.name, recorded), 1000, seed):
+            g = [s.fn(v, ORIENTATIONS[0]) for v in (sc.a, sc.a_prime, sc.b, sc.b_prime)]
+            assert {x.hex() for x in seen} <= outputs
+            assert value == g[0] * (g[2] - g[3]) + g[1] * (g[2] + g[3])
+            assert abs(value) == magnitude
+            seen.clear()
 
 
 @pytest.mark.parametrize("seed", [0, 7, 123])
@@ -354,6 +413,34 @@ def _in_process(monkeypatch):
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_each_scalarizer_is_called_8_times_per_trial(monkeypatch):
+    # Once per setting and orientation: a fold that skipped a call, even of a
+    # constant scalarizer, would read fewer.
+    calls = []
+
+    def counted(a, hv):
+        calls.append(hv)
+        return hv.orientation * a.z
+
+    s = make_scalarizer("counted", counted)
+    calls.clear()
+    codes = {d.fn.__code__: 0 for d in default_scalarizers()}
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            codes[frame.f_code] += 1
+
+    _in_process(monkeypatch)
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        scalarizer_maxima(default_scalarizers() + (s,), 50, 5)
+    finally:
+        sys.setprofile(previous)
+    assert len(calls) == 8 * 50
+    assert list(codes.values()) == [8 * 50] * 3
 
 
 @pytest.mark.parametrize("trials", [2000, 4001])
