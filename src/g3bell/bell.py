@@ -20,7 +20,8 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-from .ga import Vector3, _is_int, _is_real, _set_x, _set_y, _set_z, _shown, dot, ensure_unit
+from .ga import (_UNIT_NORM2_MAX, _UNIT_NORM2_MIN, Vector3, _is_int, _is_real, _set_x, _set_y,
+                 _set_z, _shown, dot, ensure_unit)
 from .model import ORIENTATIONS, HiddenVariable
 
 CorrelationFn = Callable[[Vector3, Vector3], float]
@@ -88,17 +89,19 @@ def make_scalarizer(name: str, fn: ScalarizerFn) -> Scalarizer:
 
 
 def _grade0_projection(a: Vector3, hv: HiddenVariable) -> float:
-    ensure_unit(a)
+    s = a.x * a.x + a.y * a.y + a.z * a.z  # ensure_unit's comparison; it is called only to raise
+    if not (_UNIT_NORM2_MIN <= s <= _UNIT_NORM2_MAX):
+        ensure_unit(a)
     return 0.0  # slot 0 of observable(a, hv): mu*a is a bivector
 
 
 def _orientation_sign(a: Vector3, hv: HiddenVariable) -> float:
-    return float(hv.orientation)
+    return 1.0 if hv.orientation > 0 else -1.0
 
 
 def _component_sign(a: Vector3, hv: HiddenVariable) -> float:
     # a.z is a's component along the reference axis e3; ties at zero resolve to +1.
-    return float(hv.orientation) * (1.0 if a.z >= 0.0 else -1.0)
+    return (1.0 if a.z >= 0.0 else -1.0) if hv.orientation > 0 else (-1.0 if a.z >= 0.0 else 1.0)
 
 
 _DEFAULT_SCALARIZERS = (
@@ -193,7 +196,7 @@ def random_unit_vector(rng: random.Random) -> Vector3:
             return Vector3(x / n, y / n, z / n)
 
 
-# Each split half folds >= 1,000 trials, 9-17 ms on a 2-vCPU host; a fork round trip takes 1-2 ms.
+# Each split half folds >= 1,000 trials, 8-14 ms on a 2-vCPU host; a fork round trip takes 2-3 ms.
 _SPLIT_MIN_TRIALS = 2000
 # Uniform draws per trial when no triple is rejected: six Box-Muller pairs for
 # the four normal triples, and the weight.  No normal is then pending between

@@ -23,6 +23,10 @@ GRADE_SLOTS = {0: (0,), 1: (1, 2, 3), 2: (4, 5, 6), 3: (7,)}
 
 DEFAULT_TOLERANCE = 1e-12
 UNIT_TOLERANCE = 1e-9
+# The squared norms s where abs(sqrt(s) - 1.0) <= UNIT_TOLERANCE form one interval (sqrt is
+# monotone and correctly rounded, n - 1.0 exact on [0.5, 2]); bisection over the doubles finds it.
+_UNIT_NORM2_MIN = float.fromhex("0x1.ffffffeed1f42p-1")
+_UNIT_NORM2_MAX = float.fromhex("0x1.000000089705fp+0")
 
 # Geometric product of basis blades: _CAYLEY[i][j] = (sign, slot) such that
 # blade_i * blade_j = sign * blade_slot.  Written out explicitly; the test
@@ -271,9 +275,12 @@ def grade_audit(x: Multivector, tol: float = DEFAULT_TOLERANCE) -> GradeSupport:
 def ensure_unit(v: Vector3) -> Vector3:
     """Validate that v is a unit vector within UNIT_TOLERANCE; returns v unchanged.
 
-    Written so that a NaN norm fails the check instead of slipping past it.
+    Compares the squared norm with the ends of the interval where the norm is
+    within tolerance, which for float and int components (``Vector3``'s types)
+    accepts and raises as the norm's own test does; NaN and overflow fail it.
     """
-    n = math.sqrt(v.x * v.x + v.y * v.y + v.z * v.z)  # v.norm(), without its call
-    if not (abs(n - 1.0) <= UNIT_TOLERANCE):
+    s = v.x * v.x + v.y * v.y + v.z * v.z
+    if not (_UNIT_NORM2_MIN <= s <= _UNIT_NORM2_MAX):
+        n = math.sqrt(s)  # v.norm(), without its call
         raise NonUnitVectorError(f"expected a unit vector, got norm {n!r}")
     return v

@@ -17,6 +17,11 @@ each trial's signed S, and its maximum |S| serves as a bitwise oracle for the
 fast path.  ``reference_grade0_projection`` is the grade-0 scalarizer as the
 algebra states it, slot 0 of the literal product ``gp(mu, a)``.
 
+``reference_ensure_unit`` is the unit check as first written: the norm's
+square root within ``UNIT_TOLERANCE`` of 1.  ``ensure_unit`` compares the
+squared norm with two bounds instead, and must accept and raise alike;
+``vector_of_squared_norm`` builds the vectors that probe those bounds.
+
 ``reference_expectation`` is the expectation as first written: a loop over
 the two orientation atoms that adds each weighted term to ``ZERO`` through
 ``gp``.  ``expectation`` and every ``sweeps`` value must match it bit for
@@ -40,7 +45,8 @@ import math
 import random
 
 from g3bell.bell import ChshScenario, Scalarizer, chsh
-from g3bell.ga import GradeSupport, Vector3, ZERO, ensure_unit, grade_audit, gp
+from g3bell.ga import (UNIT_TOLERANCE, GradeSupport, NonUnitVectorError, Vector3, ZERO, ensure_unit,
+                       grade_audit, gp)
 from g3bell.audit import _MV_KEYS
 from g3bell.measure import (_SCALE, _UNIT, _UNSCALE, ExpectationResult, Sweep,
                             is_valid_probability_measure, measure_total)
@@ -117,6 +123,26 @@ def scalar_correlation(s: Scalarizer, a: Vector3, b: Vector3,
     ensure_unit(b)
     weights = (dist.p_plus, dist.p_minus)
     return sum(w * s.fn(a, hv) * s.fn(b, hv) for w, hv in zip(weights, ORIENTATIONS))
+
+
+def reference_ensure_unit(v: Vector3) -> Vector3:
+    """v, if its norm's square root lies within UNIT_TOLERANCE of 1."""
+    n = math.sqrt(v.x * v.x + v.y * v.y + v.z * v.z)
+    if not (abs(n - 1.0) <= UNIT_TOLERANCE):
+        raise NonUnitVectorError(f"expected a unit vector, got norm {n!r}")
+    return v
+
+
+_NEAR_ONE = 1.0 - 2.0 ** -29  # squares to 1 - 2**-28, below the unit check's interval
+
+
+def vector_of_squared_norm(s: float) -> Vector3:
+    """A vector whose squared norm, summed as the unit check sums it, is the
+    double ``s``, for ``s`` within 2**-28 of 1: the square of its first
+    component plus the small, nearly exact square of its second."""
+    v = Vector3(_NEAR_ONE, math.sqrt(s - _NEAR_ONE * _NEAR_ONE), 0.0)
+    assert v.x * v.x + v.y * v.y + v.z * v.z == s, s.hex()
+    return v
 
 
 def reference_grade0_projection(a: Vector3, hv) -> float:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import g3bell
 from g3bell import audit, measure
-from g3bell.bell import make_scalarizer
+from g3bell.bell import Scalarizer, make_scalarizer
 from g3bell.ga import GradeSupport, I, Multivector, ONE, Vector3, ZERO, cross, dot, grade_project
 from g3bell.model import (ORIENTATIONS, PRODUCT_FORMS, OrientationDistribution, product_identity,
                           product_raw)
@@ -679,6 +679,85 @@ def test_planted_defect_refutes_exactly_its_claims(monkeypatch, capsys, defect):
 def test_planted_defects_refute_every_claim():
     assert set().union(*(refuted for _, refuted in PLANTED_DEFECTS.values())) == \
         {c.id for c in CLAIM_MAP}
+
+
+# --- planted defects scaled down to the tolerance -----------------------------------
+# Each row perturbs one quantity a claim checks by eps and returns the extra pairs
+# to audit.  A correct model keeps each such quantity a few ulp from its closed
+# form, so eps a few times tol (and past 4 ulp of its scale) must be refuted, and
+# eps well below tol must not be.  The LHV bound and the directed total are
+# compared exactly, so no eps lies below their tolerance; PLANTED_DEFECTS has them.
+
+def _identity_e12_shifted(mp, tol, eps):
+    def planted(a, b, hv):
+        coeffs = list(product_identity(a, b, hv).coeffs)
+        if hv.orientation == +1:
+            coeffs[4] += eps
+        return Multivector(tuple(coeffs))
+    mp.setitem(PRODUCT_FORMS, "identity", planted)
+    return ()
+
+
+def _bivector_dropped_at_cross_norm(mp, tol, eps):
+    # A pair with |a x b| = tol + eps exactly, whose products lose their bivector.
+    pair = (Vector3(1.0, 0.0, 0.0), Vector3(math.sqrt(1.0 - (tol + eps) ** 2), tol + eps, 0.0))
+    assert cross(*pair).norm() == tol + eps
+    key = pair_key(*pair)
+
+    def planted(a, b, hv):
+        mv = product_identity(a, b, hv)
+        return grade_project(mv, 0) if pair_key(a, b) == key else mv
+    mp.setitem(PRODUCT_FORMS, "identity", planted)
+    return (pair,)
+
+
+def _scalarizer_past_one(mp, tol, eps):
+    # Built without make_scalarizer, whose probes reject an output past 1 + 1e-12.
+    past_one = Scalarizer("past_one", lambda a, hv: hv.orientation * (1.0 + eps))
+    mp.setattr(audit, "default_scalarizers",
+               lambda default_scalarizers=audit.default_scalarizers: default_scalarizers() + (past_one,))
+    return ()
+
+
+def _quantum_target_stretched(mp, tol, eps):
+    mp.setattr(audit, "quantum_target",
+               lambda a, b, quantum_target=audit.quantum_target: (1.0 + eps) * quantum_target(a, b))
+    return ()
+
+
+# name: (plant, eps past the tolerance, eps well below it, the claims refuted past it)
+SCALED_DEFECTS = {
+    "identity_e12_at_plus": (
+        _identity_e12_shifted, lambda tol: 5.0 * tol, lambda tol: tol / 10.0,
+        {"observable_product_splits", "scalar_weight_codomain", "directed_codomain",
+         "orthogonal_zero_graded", "nonisotropic_leak"}),
+    # 16 ulp(1) past the tolerance, outside _undecided's band; below, |a x b| is tol / 10.
+    "bivector_dropped_past_the_band": (
+        _bivector_dropped_at_cross_norm, lambda tol: 16.0 * math.ulp(1.0), lambda tol: -0.9 * tol,
+        {"observable_product_splits", "scalar_weight_codomain", "directed_codomain",
+         "nonisotropic_leak"}),
+    "scalarizer_past_one": (
+        _scalarizer_past_one, lambda tol: 5.0 * tol, lambda tol: tol / 10.0,
+        {"scalarized_chsh_classical"}),
+    "quantum_target_stretched": (
+        _quantum_target_stretched, lambda tol: 5.0 * tol, lambda tol: tol / 10.0,
+        {"projection_reproduces_violation"}),
+}
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-15])
+@pytest.mark.parametrize("defect", list(SCALED_DEFECTS))
+def test_a_defect_past_the_tolerance_is_refuted_and_one_below_it_is_not(monkeypatch, defect, tol):
+    plant, past, below, refuted = SCALED_DEFECTS[defect]
+    # At tol 1e-15, 5 * tol lies between 4 and 64 ulp(1).
+    assert abs(past(tol)) > 4.0 * math.ulp(1.0)
+    for eps, expected in ((past(tol), refuted), (below(tol), set())):
+        with monkeypatch.context() as mp:
+            pairs = plant(mp, tol, eps)
+            claims = run_audit(AuditConfig(tolerance=tol, p_step=0.25, trials=5,
+                                           extra_pairs=pairs)).document["claims"]
+        assert {c["id"]: c["verdict"] for c in claims} == {
+            c.id: REFUTED if c.id in expected else CONFIRMED for c in CLAIM_MAP}, eps
 
 
 def test_audit_evaluates_each_product_form_twice_per_pair(monkeypatch):

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import example, given, assume
 from hypothesis import strategies as st
 
-from g3bell.ga import NonUnitVectorError, Vector3, dot
-from g3bell import bell
+from g3bell.ga import NonUnitVectorError, Vector3, dot, ensure_unit
+from g3bell import bell, ga
 from g3bell.audit import AuditConfig, run_audit
 from g3bell.model import ORIENTATIONS, OrientationDistribution, observable
 from g3bell.bell import (
@@ -29,7 +29,8 @@ from g3bell.bell import (
 )
 
 from _oracle import (reference_chsh_trials, reference_grade0_projection,
-                     reference_scalarizer_maxima, reference_unit_vector, scalar_correlation)
+                     reference_scalarizer_maxima, reference_unit_vector, scalar_correlation,
+                     vector_of_squared_norm)
 
 TOL = 1e-12
 
@@ -97,6 +98,53 @@ def test_grade0_projection_rejects_non_unit_as_observable_does(a):
             observable(a, hv)
         with pytest.raises(NonUnitVectorError):
             bell._grade0_projection(a, hv)
+
+
+def _raised(fn, *args):
+    """The type and message of what ``fn(*args)`` raises, or None."""
+    try:
+        fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _ulps_from(x: float, n: int) -> float:
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.inf if n > 0 else 0.0)
+    return x
+
+
+# Vectors whose squared norm lies within 4 ulp of an end of ensure_unit's interval.
+_near_unit_ends = st.builds(lambda end, n: vector_of_squared_norm(_ulps_from(end, n)),
+                            st.sampled_from([ga._UNIT_NORM2_MIN, ga._UNIT_NORM2_MAX]),
+                            st.integers(-4, 4))
+
+
+@given(_near_unit_ends)
+@example(vector_of_squared_norm(ga._UNIT_NORM2_MIN))
+@example(vector_of_squared_norm(math.nextafter(ga._UNIT_NORM2_MIN, 0.0)))
+@example(vector_of_squared_norm(ga._UNIT_NORM2_MAX))
+@example(vector_of_squared_norm(math.nextafter(ga._UNIT_NORM2_MAX, 2.0)))
+@example(Vector3(1, 0, 0))
+@example(Vector3(0.6, 0.8, -0.0))
+@example(Vector3(0.0, 0.0, 0.0))
+@example(Vector3(math.nan, 0.0, 1.0))
+@example(Vector3(0.0, -math.inf, 0.0))
+@example(Vector3(1e200, 0.0, 0.0))
+@example(Vector3(10 ** 200, 0, 0))
+def test_grade0_projection_raises_exactly_where_ensure_unit_raises(a):
+    # The projection makes ensure_unit's comparison itself and calls it only to raise.
+    for hv in ORIENTATIONS:
+        assert _raised(bell._grade0_projection, a, hv) == _raised(ensure_unit, a)
+
+
+@pytest.mark.parametrize("z", [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, math.nan])
+@pytest.mark.parametrize("hv", ORIENTATIONS, ids=["plus", "minus"])
+def test_sign_scalarizers_have_the_bits_of_their_float_forms(hv, z):
+    a, o = Vector3(0.0, 0.0, z), float(hv.orientation)
+    assert bell._orientation_sign(a, hv).hex() == o.hex()
+    assert bell._component_sign(a, hv).hex() == (o * (1.0 if z >= 0.0 else -1.0)).hex()
 
 
 def test_component_sign_antipodal_correlation():

@@ -28,8 +28,8 @@ MINUS_DOT = Multivector.scalar(-dot(A, B))
 
 @pytest.fixture(autouse=True)
 def _unchecked_norms(monkeypatch):
-    # ensure_unit takes a square root, which a polynomial lacks, and none of
-    # these identities needs |a| = |b| = 1.
+    # ensure_unit compares the squared norm with float bounds, which a polynomial
+    # cannot be compared with, and none of these identities needs |a| = |b| = 1.
     monkeypatch.setattr(g3bell.model, "ensure_unit", lambda v: v)
 
 

@@ -1,10 +1,13 @@
+import itertools
 import math
 import re
+import struct
 
 import pytest
 from hypothesis import example, given, assume, settings
 from hypothesis import strategies as st
 
+from g3bell import ga
 from g3bell.ga import (
     BASIS,
     BLADE_NAMES,
@@ -31,7 +34,7 @@ from g3bell.ga import (
     wedge,
 )
 
-from _oracle import oracle_gp, oracle_table
+from _oracle import oracle_gp, oracle_table, reference_ensure_unit, vector_of_squared_norm
 
 TOL = 1e-12
 
@@ -329,6 +332,81 @@ def test_ensure_unit_checks_the_bits_of_norm(v):
     message = str(raised.value)
     assert message == f"expected a unit vector, got norm {n!r}"
     assert float(message.rpartition(" ")[2]).hex() == n.hex()
+
+
+def _bits(x: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _double(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def _doubles(patterns: range) -> tuple[float, ...]:
+    return struct.unpack(f"<{len(patterns)}d", struct.pack(f"<{len(patterns)}q", *patterns))
+
+
+def _outcome(rule, v):
+    """Whether ``rule(v)`` returned v, or the type and message it raised."""
+    try:
+        return rule(v) is v
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _square_root_rule_ends() -> tuple[float, float]:
+    """The least and the greatest squared norm that the square-root rule
+    accepts, by bisection over the bit patterns of the doubles from 0.25 to 4."""
+    def accepted(s: float) -> bool:
+        return abs(math.sqrt(s) - 1.0) <= UNIT_TOLERANCE
+
+    def end(rejected: int, inside: int) -> float:
+        while abs(inside - rejected) > 1:
+            mid = (inside + rejected) // 2
+            if accepted(_double(mid)):
+                inside = mid
+            else:
+                rejected = mid
+        return _double(inside)
+
+    assert accepted(1.0) and not accepted(0.25) and not accepted(4.0)
+    return end(_bits(0.25), _bits(1.0)), end(_bits(4.0), _bits(1.0))
+
+
+def test_unit_interval_ends_are_the_square_root_rules():
+    low, high = _square_root_rule_ends()
+    assert (ga._UNIT_NORM2_MIN.hex(), ga._UNIT_NORM2_MAX.hex()) == (low.hex(), high.hex())
+
+
+@pytest.mark.parametrize("end", ["_UNIT_NORM2_MIN", "_UNIT_NORM2_MAX"])
+def test_ensure_unit_is_the_square_root_rule_near_each_end(end):
+    # Every double within 10**5 ulp of the end, as a vector's squared norm.
+    at = _bits(getattr(ga, end))
+    outcomes = set()
+    for s in _doubles(range(at - 10 ** 5, at + 10 ** 5 + 1)):
+        v = vector_of_squared_norm(s)
+        outcome = _outcome(ensure_unit, v)
+        assert outcome == _outcome(reference_ensure_unit, v), s.hex()
+        outcomes.add(outcome is True)
+    assert outcomes == {True, False}
+
+
+# Signed zeros, subnormals, squares that overflow or that lie past the largest
+# float as ints, non-finite floats, and ints.
+_EDGE_COMPONENTS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-160, 1e200, -1e200,
+                    1.7976931348623157e308, math.inf, -math.inf, math.nan, 0, 1, -1, 2, 10 ** 200,
+                    0.6, 0.8, 1.0, -1.0, math.sqrt(0.5)]
+
+
+def test_ensure_unit_is_the_square_root_rule_at_edge_components():
+    seen = set()
+    for xyz in itertools.product(_EDGE_COMPONENTS, repeat=3):
+        v = Vector3(*xyz)
+        outcome = _outcome(ensure_unit, v)
+        assert outcome == _outcome(reference_ensure_unit, v), xyz
+        seen.add(outcome if outcome is True else outcome[0])
+    # An int square past the largest float raises OverflowError under both rules.
+    assert seen == {True, NonUnitVectorError, OverflowError}
 
 
 def test_normalized_zero_vector_raises():
