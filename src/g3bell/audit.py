@@ -122,10 +122,10 @@ class AuditConfig:
 @dataclass(frozen=True)
 class AuditReport:
     """The report document that ``run_audit`` builds: the JSON tree, keyed in
-    output order, which the verdicts, the text view and the JSON writer read.
-    Each ``functional_range`` probe is held as the pair's directed
-    identity-form ``Sweep``, not as plain JSON types; the writer emits it as
-    one ``{"p": ..., "value": {...}}`` row per grid point."""
+    output order, which the text view and the JSON writer read (the claims
+    judge what the audit computed).  Each ``functional_range`` probe is held as
+    the pair's directed identity-form ``Sweep``, not as plain JSON types; the
+    writer emits it as one ``{"p": ..., "value": {...}}`` row per grid point."""
 
     document: dict
 
@@ -189,10 +189,14 @@ class _AuditedPair:
     dot: float
     cross_norm: float
     products: dict  # orientation -> form -> Multivector
+    scalar_error: float  # worst |grade-0 part + a.b| over the products
+    bivector_error: float  # worst |grade-2 magnitude - |a x b|| over the products
     sweeps: dict  # form -> MeasureKind -> Sweep
 
-    def every_product(self) -> list[Multivector]:
-        return [mv for by_form in self.products.values() for mv in by_form.values()]
+    def directed_scalar_max(self, form: str) -> float:
+        # For real pairs this is the sweep's shared zeros column: no product has an e123 part.
+        scalar = self.sweeps[form][MeasureKind.DIRECTED_TRIVECTOR].columns[0]
+        return _max_magnitude(list(map(abs, scalar))) if any(scalar) else 0.0
 
 
 def _audit_pair(key: str, a: Vector3, b: Vector3, grid, tol: float) -> _AuditedPair:
@@ -200,15 +204,19 @@ def _audit_pair(key: str, a: Vector3, b: Vector3, grid, tol: float) -> _AuditedP
     # PRODUCT_FORMS entry is seen; the sweeps and their isotropic results read these.
     products = {hv.orientation: {form: PRODUCT_FORMS[form](a, b, hv) for form in _FORMS}
                 for hv in ORIENTATIONS}
+    every = [mv for by_form in products.values() for mv in by_form.values()]
+    ab, cross_norm = dot(a, b), cross(a, b).norm()
 
     def held(form: str) -> ProductForm:
         return lambda a, b, hv: products[hv.orientation][form]
 
     return _AuditedPair(
         key=key,
-        dot=dot(a, b),
-        cross_norm=cross(a, b).norm(),
+        dot=ab,
+        cross_norm=cross_norm,
         products=products,
+        scalar_error=_max_magnitude([abs(mv.coeffs[0] - (-ab)) for mv in every]),
+        bivector_error=_max_magnitude([abs(mv.grade_norm(2) - cross_norm) for mv in every]),
         sweeps={form: sweeps(held(form), a, b, _KINDS, grid, tol) for form in _FORMS},
     )
 
@@ -216,7 +224,14 @@ def _audit_pair(key: str, a: Vector3, b: Vector3, grid, tol: float) -> _AuditedP
 def run_audit(config: AuditConfig) -> AuditReport:
     tol = config.tolerance
     grid = p_grid(config.p_step)
+    # Computed once: the sections below render these and the claims judge them.
     pairs = [_audit_pair(key, a, b, grid, tol) for key, a, b in audited_pairs(config)]
+    normalization = _normalization_section(grid, tol)
+    scenario = ChshScenario.from_angles(config.angles_deg)
+    scalarizers = default_scalarizers()
+    maxima = scalarizer_maxima(scalarizers, trials=config.trials, seed=config.seed)
+    figures = {"maxima": dict(zip((s.name for s in scalarizers), maxima)),
+               "lhv_bound": lhv_bruteforce_bound(), "s_value": chsh(quantum_target, scenario)}
     # A tolerance that swallows half a unit blade swallows the isotropic terms,
     # p = 1/2 times a product of unit vectors, and cannot grade them; every
     # verdict is then informational.
@@ -256,18 +271,17 @@ def run_audit(config: AuditConfig) -> AuditReport:
         "degenerate_tolerance": degenerate,
         "identity_check": {pr.key: _identity_check(pr, tol) for pr in pairs},
         "grade_support": {pr.key: _grade_support(pr, tol) for pr in pairs},
-        "normalization": _normalization_section(grid, tol),
+        "normalization": normalization,
         "functional_range": {pr.key: _functional_range(pr) for pr in pairs},
-        "chsh": _chsh_section(config),
+        "chsh": _chsh_section(config, scenario, figures),
     }
-    claims = []
+    doc["claims"] = []
     for claim, entry in zip(CLAIM_MAP, doc["claim_map"]):
-        ok, observed = claim.evaluate(doc, pairs)
+        ok, observed = claim.evaluate(config, pairs, figures, normalization)
         if degenerate:
             ok, observed = None, {**observed, "reason": "degenerate tolerance"}
         verdict = INFORMATIONAL if ok is None else CONFIRMED if ok else REFUTED
-        claims.append({**entry, "verdict": verdict, "observed": observed})
-    doc["claims"] = claims
+        doc["claims"].append({**entry, "verdict": verdict, "observed": observed})
     doc["notes"] = notes
     return AuditReport(doc)
 
@@ -301,10 +315,8 @@ def _identity_check(pr: _AuditedPair, tol: float) -> dict:
             "raw": _mv_dict(values["raw"]),
             "max_coeff_diff": values["identity"].max_abs_diff(values["raw"]),
         } for label, values in (("orientation_plus", plus), ("orientation_minus", minus))},
-        "scalar_parts_match_minus_dot": _close(_max_magnitude(
-            [abs(mv.coeffs[0] - (-pr.dot)) for mv in pr.every_product()]), 1.0, tol),
-        "bivector_magnitudes_match_cross_norm": _close(_max_magnitude(
-            [abs(mv.grade_norm(2) - pr.cross_norm) for mv in pr.every_product()]), 1.0, tol),
+        "scalar_parts_match_minus_dot": _close(pr.scalar_error, 1.0, tol),
+        "bivector_magnitudes_match_cross_norm": _close(pr.bivector_error, 1.0, tol),
         "raw_orientation_independent": plus["raw"].max_abs_diff(minus["raw"]) <= tol,
         "identity_bivector_flips_with_orientation":
             grade_project(plus["identity"] + minus["identity"], 2).max_abs_coeff() <= tol,
@@ -374,9 +386,7 @@ def _within(columns, target, tol: float) -> bool:
 def _functional_range(pr: _AuditedPair) -> dict:
     entry: dict = {}
     for form in _FORMS:
-        # For real pairs this is the sweep's shared zeros column: no product has an e123 part.
-        scalar = pr.sweeps[form][MeasureKind.DIRECTED_TRIVECTOR].columns[0]
-        max_scalar = _max_magnitude(list(map(abs, scalar))) if any(scalar) else 0.0
+        max_scalar = pr.directed_scalar_max(form)
         entry[form] = {
             "max_abs_scalar_component": max_scalar,
             "nonzero_scalar_attained": max_scalar > 0.0,
@@ -386,66 +396,60 @@ def _functional_range(pr: _AuditedPair) -> dict:
     return entry
 
 
-def _chsh_section(config: AuditConfig) -> dict:
-    scenario = ChshScenario.from_angles(config.angles_deg)
-    scalarizers = default_scalarizers()
-    maxima = dict(zip(
-        (s.name for s in scalarizers),
-        scalarizer_maxima(scalarizers, trials=config.trials, seed=config.seed),
-    ))
-    s_value = chsh(quantum_target, scenario)
+def _chsh_section(config: AuditConfig, scenario: ChshScenario, figures: dict) -> dict:
     return {
         "angles_deg": list(config.angles_deg),
         "scenario": {f.name: list(getattr(scenario, f.name).components()) for f in fields(scenario)},
-        "lhv_bruteforce_bound": lhv_bruteforce_bound(),
+        "lhv_bruteforce_bound": figures["lhv_bound"],
         "trials": config.trials,
         "seed": config.seed,
-        "scalarizer_maxima": maxima,
-        "quantum_target_s": s_value,
-        "quantum_target_exceeds_lhv_bound": abs(s_value) > 2.0,
+        "scalarizer_maxima": figures["maxima"],
+        "quantum_target_s": figures["s_value"],
+        "quantum_target_exceeds_lhv_bound": abs(figures["s_value"]) > 2.0,
     }
 
 
 @dataclass(frozen=True)
 class Claim:
     """One audited claim; ``statement`` doubles as its text verdict line.
-    ``evaluate(doc, pairs)`` reads the report document's sections and the
-    audited pairs, and returns ``(ok, observed)``: ``ok is None`` means
-    informational.  Most claims below decorate their evaluator with
-    ``partial(Claim, id, statement, check)``."""
+    ``evaluate(config, pairs, figures, normalization)`` judges what the audit
+    computed, never the report: the pairs, the CHSH figures (``maxima``,
+    ``lhv_bound``, ``s_value``) and the normalization reduction.  It returns
+    ``(ok, observed)``: ``ok is None`` means informational.  Most claims below
+    decorate their evaluator with ``partial(Claim, id, statement, check)``."""
 
     id: str
     statement: str
     check: str
-    evaluate: Callable[[dict, list[_AuditedPair]], tuple[bool | None, dict]]
+    evaluate: Callable[[AuditConfig, list[_AuditedPair], dict, dict], tuple[bool | None, dict]]
 
 
 @partial(Claim, "observable_product_splits",
          "the observable product splits into a scalar part -a.b and a bivector part of magnitude |a x b|",
          "both product forms, every audited pair, both orientations: grade-0 equals "
          "-dot(a,b), grade-2 magnitude equals |cross(a,b)|, grades 1 and 3 vanish")
-def _observable_product_splits(doc, pairs):
-    grade13 = _max_magnitude([mv.grade_norm(g) for pr in pairs for mv in pr.every_product()
-                              for g in (1, 3)])
-    ok = all(c["scalar_parts_match_minus_dot"] and c["bivector_magnitudes_match_cross_norm"]
-             for c in doc["identity_check"].values())
-    return ok and grade13 <= doc["config"]["tolerance"], {"max_offgrade_magnitude": grade13}
+def _observable_product_splits(config, pairs, figures, normalization):
+    grade13 = _max_magnitude([mv.grade_norm(g) for pr in pairs for by_form in pr.products.values()
+                              for mv in by_form.values() for g in (1, 3)])
+    ok = all(_close(pr.scalar_error, 1.0, config.tolerance)
+             and _close(pr.bivector_error, 1.0, config.tolerance) for pr in pairs)
+    return ok and grade13 <= config.tolerance, {"max_offgrade_magnitude": grade13}
 
 
-def _codomain(kind: MeasureKind, doc, pairs):
-    tol = doc["config"]["tolerance"]
+def _codomain(kind: MeasureKind, config, pairs, figures, normalization):
+    tol = config.tolerance
     supports = {}
     ok = True
     for pr in pairs:
-        support = doc["grade_support"][pr.key]["identity"][kind.value]
-        observed = list(support["present"])
+        support = pr.sweeps["identity"][kind].support
+        observed = list(support.grades())
         # Each part of the product reaches its grade unless it vanishes here.
         parts = (abs(pr.dot), pr.cross_norm)
         expected = sorted(g for g, part in zip(_GRADES_FED[kind], parts)
                           if (g in observed if _undecided(part, tol) else part > tol))
         supports[pr.key] = {"observed": observed, "expected": expected}
         # A NaN peak leaves its grade out of the observed support, which then proves nothing.
-        ok = ok and observed == expected and not any(map(math.isnan, support["max_magnitude"]))
+        ok = ok and observed == expected and not any(map(math.isnan, support.max_magnitude))
     return ok, {"supports": supports}
 
 
@@ -465,8 +469,8 @@ _directed_codomain = Claim(
          "the isotropic average at orthogonal settings is the zero element of a non-scalar subspace",
          "for orthogonal pairs the isotropic identity-form expectation is zero while its "
          "contributing terms occupy grade 2 (scalar weights) and grade 1 (directed)")
-def _orthogonal_zero_graded(doc, pairs):
-    tol = doc["config"]["tolerance"]
+def _orthogonal_zero_graded(config, pairs, figures, normalization):
+    tol = config.tolerance
     cases = {}
     ok = True
     for pr in pairs:
@@ -490,7 +494,7 @@ def _orthogonal_zero_graded(doc, pairs):
          "non-isotropic distributions leak a non-scalar component of magnitude |2p-1|*|a x b|",
          "identity form, every pair and grid point: the grade-2 leak (scalar weights) and "
          "grade-1 leak (directed) match |2p-1|*|cross(a,b)| within tolerance")
-def _nonisotropic_leak(doc, pairs):
+def _nonisotropic_leak(config, pairs, figures, normalization):
     # Every sweep of one audit runs over the same grid.
     grid = pairs[0].sweeps["identity"][_KINDS[0]].grid
     leak = [abs(2.0 * p - 1.0) for p in grid]
@@ -501,65 +505,61 @@ def _nonisotropic_leak(doc, pairs):
             worst.append(_max_magnitude([abs(norm - scale * pr.cross_norm)
                                          for norm, scale in zip(norms, leak)]))
     worst = _max_magnitude(worst)
-    return _close(worst, 1.0, doc["config"]["tolerance"]), {"max_leak_error": worst}
+    return _close(worst, 1.0, config.tolerance), {"max_leak_error": worst}
 
 
 @partial(Claim, "directed_total_trivector",
          "directed measure normalizes to trivector",
          "the directed total equals e123 for every p on the grid, so the valid-probability "
          "flag is false; scalar weights total exactly 1 with the flag true")
-def _directed_total_trivector(doc, pairs):
-    n = doc["normalization"]
-    ok = (n["directed_total_is_unit_trivector"]
-          and not n["directed_valid_probability_measure"]
-          and n["scalar_valid_probability_measure"]
-          and n["totals_constant_over_grid"])
-    return ok, {"directed_total_e123": n["directed_total"]["e123"],
-                "scalar_total": n["scalar_total"]["scalar"]}
+def _directed_total_trivector(config, pairs, figures, normalization):
+    ok = (normalization["directed_total_is_unit_trivector"]
+          and not normalization["directed_valid_probability_measure"]
+          and normalization["scalar_valid_probability_measure"]
+          and normalization["totals_constant_over_grid"])
+    return ok, {"directed_total_e123": normalization["directed_total"]["e123"],
+                "scalar_total": normalization["scalar_total"]["scalar"]}
 
 
 @partial(Claim, "directed_scalar_range_empty",
          "the directed-measure functional attains no nonzero scalar value",
          "both forms, every pair and grid point: the grade-0 component of the directed "
          "expectation stays within tolerance of zero")
-def _directed_scalar_range_empty(doc, pairs):
-    worst = _max_magnitude([entry[form]["max_abs_scalar_component"]
-                            for entry in doc["functional_range"].values() for form in _FORMS])
-    return worst <= doc["config"]["tolerance"], {"max_abs_scalar_component": worst}
+def _directed_scalar_range_empty(config, pairs, figures, normalization):
+    worst = _max_magnitude([pr.directed_scalar_max(form) for pr in pairs for form in _FORMS])
+    return worst <= config.tolerance, {"max_abs_scalar_component": worst}
 
 
 @partial(Claim, "lhv_bound_two",
          "deterministic strategies bound the CHSH combination by 2",
          "exhaustive enumeration of the 16 sign strategies returns exactly 2")
-def _lhv_bound_two(doc, pairs):
-    bound = doc["chsh"]["lhv_bruteforce_bound"]
-    return bound == 2.0, {"bound": bound}
+def _lhv_bound_two(config, pairs, figures, normalization):
+    return figures["lhv_bound"] == 2.0, {"bound": figures["lhv_bound"]}
 
 
 @partial(Claim, "scalarized_chsh_classical",
          "every registered scalarization keeps CHSH within the classical bound",
          "seeded random scenarios and weights: max |S| <= 2 + tolerance for each "
          "registered scalarizer")
-def _scalarized_chsh_classical(doc, pairs):
-    maxima = doc["chsh"]["scalarizer_maxima"]
-    return (all(v <= 2.0 + doc["config"]["tolerance"] for v in maxima.values()),
-            {"maxima": dict(maxima)})
+def _scalarized_chsh_classical(config, pairs, figures, normalization):
+    maxima = figures["maxima"]
+    return all(v <= 2.0 + config.tolerance for v in maxima.values()), {"maxima": dict(maxima)}
 
 
 @partial(Claim, "projection_reproduces_violation",
          "the grade-0 projection alone reproduces the quantum-style CHSH violation while the unprojected expectation is not scalar-valued",
          "chsh of -a.b at the configured settings exceeds 2 in magnitude (and equals "
          "-2*sqrt(2) at the default settings) while the sweeps above show non-scalar grades")
-def _projection_reproduces_violation(doc, pairs):
-    s_value = doc["chsh"]["quantum_target_s"]
+def _projection_reproduces_violation(config, pairs, figures, normalization):
+    s_value = figures["s_value"]
     grades = sorted({grade for pr in pairs for kind in _KINDS
                      for grade in pr.sweeps["identity"][kind].support.present})
     observed = {"s": s_value, "abs_s": abs(s_value), "non_scalar_grades": grades}
     if abs(s_value) <= 2.0:
         return None, {**observed, "reason": "configured settings do not probe the violation"}
     ok = any(grade != 0 for grade in grades)
-    if tuple(doc["config"]["angles_deg"]) == DEFAULT_ANGLES_DEG:
-        ok = ok and _close(abs(s_value + 2.0 * math.sqrt(2.0)), s_value, doc["config"]["tolerance"])
+    if config.angles_deg == DEFAULT_ANGLES_DEG:
+        ok = ok and _close(abs(s_value + 2.0 * math.sqrt(2.0)), s_value, config.tolerance)
     return ok, observed
 
 

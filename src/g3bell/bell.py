@@ -196,8 +196,8 @@ def random_unit_vector(rng: random.Random) -> Vector3:
             return Vector3(x / n, y / n, z / n)
 
 
-# Each split half folds >= 1,000 trials, 8-14 ms on a 2-vCPU host; a fork round trip takes 2-3 ms.
-_SPLIT_MIN_TRIALS = 2000
+# On 2 vCPUs the split beat one process in 36-41 of 41 runs at 4,000 trials, 1-5 of 41 at 2,000.
+_SPLIT_MIN_TRIALS = 4000
 # Uniform draws per trial when no triple is rejected: six Box-Muller pairs for
 # the four normal triples, and the weight.  No normal is then pending between
 # trials.
@@ -298,7 +298,7 @@ def scalarizer_maxima(scalarizers: Sequence[Scalarizer], trials: int,
     ``tests/_oracle.py::reference_scalarizer_maxima``, so the maxima are
     bit-identical to that definition.
 
-    From 2,000 trials on, with a second usable CPU and no second thread, a
+    From 4,000 trials on, with a second usable CPU and no second thread, a
     forked child folds the last ``trials // 2`` trials while this process
     folds the rest.  The child starts from the stream advanced by 13 draws per
     head trial, which is where the head ends exactly when it rejects no

@@ -785,7 +785,8 @@ def test_audit_evaluates_each_product_form_twice_per_pair(monkeypatch):
 
 def test_claim_table_drives_every_claim_reader(monkeypatch, capsys):
     extra = Claim("extra_claim", "an extra claim that never holds", "the evaluator says no",
-                  lambda report, pairs: (False, {"pairs_seen": len(pairs)}))
+                  lambda config, pairs, figures, normalization:
+                  (False, {"pairs_seen": len(pairs)}))
     monkeypatch.setattr(audit, "CLAIM_MAP", CLAIM_MAP + (extra,))
     argv = ["--trials", "20", "--p-step", "0.5"]
     assert main(argv + ["--format", "json"]) == 1
@@ -805,6 +806,64 @@ def test_claim_table_drives_every_claim_reader(monkeypatch, capsys):
     report = run_audit(AuditConfig(trials=20, p_step=0.5))
     monkeypatch.undo()
     assert emit(report) == text
+
+
+def _poisoned(section):
+    """``section`` rebuilt with every flag negated, every float (each maximum
+    included) set to 99.0 and every other int moved by one, through nested
+    dicts and lists; any other value, a probe ``Sweep`` or a string, is kept."""
+    if isinstance(section, bool):
+        return not section
+    if isinstance(section, float):
+        return 99.0
+    if isinstance(section, int):
+        return section + 1
+    if isinstance(section, dict):
+        return {key: _poisoned(value) for key, value in section.items()}
+    if isinstance(section, list):
+        return [_poisoned(value) for value in section]
+    return section
+
+
+def test_claims_judge_the_audit_not_the_report_sections(monkeypatch):
+    # Each section that holds a flag or a maximum a claim could read is
+    # replaced by its poisoned copy; no verdict or observed value may move.
+    # The normalization section is the reduction the claims share, so it stays.
+    config = AuditConfig(p_step=0.25, extra_pairs=((Vector3(0.0, 0.6, 0.8), Vector3(0.0, 0.0, 1.0)),),
+                         **FAST)
+    calls = {}
+
+    def counting(name, fn, key=lambda *args: None):
+        def counted(*args, **kwargs):
+            tag = (name, key(*args))
+            calls[tag] = calls.get(tag, 0) + 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in ("scalarizer_maxima", "lhv_bruteforce_bound"):
+        monkeypatch.setattr(audit, name, counting(name, getattr(audit, name)))
+    monkeypatch.setattr(audit, "measure_total_columns", counting(
+        "measure_total_columns", audit.measure_total_columns, lambda grid, kind: kind))
+
+    def one_audit():
+        calls.clear()
+        doc = run_audit(config).document
+        # The Monte Carlo, the LHV enumeration and each kind's totals run once per audit.
+        assert calls == {("scalarizer_maxima", None): 1, ("lhv_bruteforce_bound", None): 1,
+                         **{("measure_total_columns", kind): 1 for kind in MeasureKind}}
+        return doc
+
+    plain = one_audit()
+    builders = {"identity_check": "_identity_check", "grade_support": "_grade_support",
+                "functional_range": "_functional_range", "chsh": "_chsh_section"}
+    for builder in builders.values():
+        monkeypatch.setattr(audit, builder, lambda *args, real=getattr(audit, builder):
+                            _poisoned(real(*args)))
+    poisoned = one_audit()
+    for section in builders:
+        assert poisoned[section] == _poisoned(plain[section]) != plain[section]
+    assert [(c["verdict"], c["observed"]) for c in poisoned["claims"]] == \
+        [(c["verdict"], c["observed"]) for c in plain["claims"]]
 
 
 _unit_vectors = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: math.hypot(*v) > 0.1).map(

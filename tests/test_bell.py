@@ -429,8 +429,10 @@ def test_sampler_rejects_tiny_triples_like_reference():
 
 # --- the Monte Carlo split between this process and one forked child ----------------------------
 
-HEAD_TRIALS = 1001  # of SPLIT_TRIALS; the child folds the other 1000
-SPLIT_TRIALS = 2001
+# Derived from the threshold, so that moving it moves these tests with it and
+# never turns _require_split into a skip.  An odd count splits unevenly.
+SPLIT_TRIALS = bell._SPLIT_MIN_TRIALS + 1
+HEAD_TRIALS = SPLIT_TRIALS - SPLIT_TRIALS // 2  # the child folds the other SPLIT_TRIALS // 2
 
 
 @pytest.fixture
@@ -491,7 +493,7 @@ def test_each_scalarizer_is_called_8_times_per_trial(monkeypatch):
     assert list(codes.values()) == [8 * 50] * 3
 
 
-@pytest.mark.parametrize("trials", [2000, 4001])
+@pytest.mark.parametrize("trials", [bell._SPLIT_MIN_TRIALS, 2 * bell._SPLIT_MIN_TRIALS + 1])
 @pytest.mark.parametrize("seed", [1, 42, 2024])
 def test_split_maxima_bitwise_equal_to_reference_loop(trials, seed, forks):
     _require_split(trials)
@@ -541,7 +543,8 @@ def _reject_one_triple(monkeypatch, index):
     monkeypatch.setattr(bell, "_unit_vectors", vectors)
 
 
-@pytest.mark.parametrize("seed", [4, 5, 6])
+# Seeds whose tail raises a maximum at the current split sizes (the assert below).
+@pytest.mark.parametrize("seed", [4, 6, 7])
 def test_split_falls_back_when_the_head_rejects_a_triple(seed, monkeypatch, forks):
     _require_split(SPLIT_TRIALS)
     index = 4 * 500  # the first vector of trial 500, in the head
@@ -597,28 +600,29 @@ def _no_process():
 
 
 def test_no_split_below_the_threshold_or_without_a_second_cpu_or_process(monkeypatch, forks):
-    expected = reference_scalarizer_maxima(CONTINUOUS, 2000, 9)
-    assert scalarizer_maxima(CONTINUOUS, 1999, 9) == \
-        reference_scalarizer_maxima(CONTINUOUS, 1999, 9)
+    least = bell._SPLIT_MIN_TRIALS  # the smallest count that splits
+    expected = reference_scalarizer_maxima(CONTINUOUS, least, 9)
+    assert scalarizer_maxima(CONTINUOUS, least - 1, 9) == \
+        reference_scalarizer_maxima(CONTINUOUS, least - 1, 9)
     with monkeypatch.context() as m:
         m.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         m.setattr(os, "cpu_count", lambda: 1)
-        assert scalarizer_maxima(CONTINUOUS, 2000, 9) == expected
+        assert scalarizer_maxima(CONTINUOUS, least, 9) == expected
     with monkeypatch.context() as m:
         m.delattr(os, "sched_getaffinity", raising=False)
         m.setattr(os, "cpu_count", lambda: None)
-        assert scalarizer_maxima(CONTINUOUS, 2000, 9) == expected
+        assert scalarizer_maxima(CONTINUOUS, least, 9) == expected
     release = threading.Event()
     worker = threading.Thread(target=release.wait)
     worker.start()
     try:
-        assert scalarizer_maxima(CONTINUOUS, 2000, 9) == expected
+        assert scalarizer_maxima(CONTINUOUS, least, 9) == expected
     finally:
         release.set()
         worker.join()
     assert forks == []
     with monkeypatch.context() as m:
         m.setattr(os, "fork", _no_process)
-        assert scalarizer_maxima(CONTINUOUS, 2000, 9) == expected
+        assert scalarizer_maxima(CONTINUOUS, least, 9) == expected
     monkeypatch.delattr(os, "fork", raising=False)
-    assert scalarizer_maxima(CONTINUOUS, 2000, 9) == expected
+    assert scalarizer_maxima(CONTINUOUS, least, 9) == expected
